@@ -147,6 +147,10 @@ def cmd_gen(args, parser) -> int:
 
 
 def cmd_extract(args, parser) -> int:
+    if args.K is not None and args.K < 1:
+        parser.error(f"--K must be >= 1, got {args.K}")
+    if args.n is not None and (args.n < 1 or args.n & (args.n - 1)):
+        parser.error(f"--n must be a power of two, got {args.n}")
     _require_file(parser, args.input)
     signal = load_signal_csv(args.input)
     phase = _load_phase(args, parser, signal)

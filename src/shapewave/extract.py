@@ -4,16 +4,15 @@ The demodulated bands of a model signal all carry the same envelope, scaled
 by one harmonic coefficient each.  Stacking their real and imaginary parts
 as columns therefore yields a matrix that is rank 1 up to the residual, and
 the best envelope/coefficient pair in the least-squares sense is the leading
-singular triplet.
+singular triplet.  Each band is a trigonometric polynomial of degree below
+``l_theta/2``, so the fit runs on ``l_theta`` samples per band.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     Envelope,
@@ -28,24 +27,20 @@ from .core import (
 from .errors import DegenerateInput, MismatchedLengths, NonConvergence, NonFiniteValue
 from .transform import (
     DemodulatedBand,
+    _band_samples,
     band_indices,
     default_grid_size,
-    extract_demodulated_band,
     interp_phase_to_time,
     resample_to_phase,
-    spectrum_frequencies,
 )
 
 #: Cap on the automatically chosen number of harmonic bands.
 MAX_DEFAULT_BANDS = 20
 
-#: Grid used for the rotation search in :func:`shape_distance`.
-DISTANCE_GRID = 512
-
 
 @dataclass(frozen=True)
 class BandMatrix:
-    """Real n x (2K+1) matrix with columns [Re g_0, Re g_1..Re g_K, Im g_1..Im g_K]."""
+    """Real m x (2K+1) matrix: m band samples, columns [Re g_0, Re g_1..Re g_K, Im g_1..Im g_K]."""
 
     entries: np.ndarray
 
@@ -161,7 +156,7 @@ def extract_shape(
         Phase-grid size (power of two).  Defaults to the smallest power of
         two >= max(n_samples, 8 * l_theta).
     zero_dc : bool
-        Zero out band 0 of the spectrum before fitting, forcing c_0 ~ 0.
+        Let band 0 contribute zeros to the fit, forcing c_0 ~ 0.
 
     Returns
     -------
@@ -179,28 +174,30 @@ def extract_shape(
     band_indices(k_max, phase.l_theta, n)
 
     pds = resample_to_phase(signal, phase, n)
+    # m = l_theta samples per trimmed band, scaled by sqrt(n/m), keep the
+    # column inner products (so sigma, right vector, objective) of n samples
+    m = phase.l_theta
+    bands = [DemodulatedBand(k=k, values=np.sqrt(n / m) * _band_samples(pds, k, m, True))
+             for k in range(k_max + 1)]
     if zero_dc:
-        lo, hi = band_indices(0, phase.l_theta, n)
-        omega = spectrum_frequencies(n)
-        spectrum = pds.spectrum.copy()
-        spectrum[(omega >= lo) & (omega <= hi)] = 0.0
-        pds = dataclasses.replace(pds, spectrum=spectrum)
-
-    bands = [extract_demodulated_band(pds, k, trim_unpaired=True) for k in range(k_max + 1)]
+        bands[0] = DemodulatedBand(k=0, values=np.zeros(m, dtype=complex))
     fit = rank_one_fit(assemble_band_matrix(bands))
+    # zero-pad the envelope to n points; the trim leaves an even m's bin m/2 empty
+    left = np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[: (m + 1) // 2], n)
+    singular_values = np.pad(fit.singular_values, (0, len(fit.right) - len(fit.singular_values)))
 
     # the bands live on the shifted variable theta - theta0; rotate the
     # coefficients so the shape is a function of the original phase
     c_raw = coefficients_from_right_vector(fit.right)
     c_raw *= np.exp(-1j * np.arange(k_max + 1) * phase.phase_origin)
-    values_phase, coeffs = normalize_rank1_factors(fit.left, c_raw, fit.sigma1)
+    values_phase, coeffs = normalize_rank1_factors(left, c_raw, fit.sigma1)
 
     values_time = interp_phase_to_time(values_phase, phase, signal.times)
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 
-    s_sq = fit.singular_values**2
+    s_sq = singular_values**2
     diagnostics = FitDiagnostics(
-        singular_values=fit.singular_values,
+        singular_values=singular_values,
         rank1_energy_fraction=float(s_sq[0] / np.sum(s_sq)),
         objective_value=fit.objective,
     )
@@ -217,32 +214,30 @@ def extract_shape(
 def shape_distance(s1: ShapeFunction, s2: ShapeFunction) -> float:
     """Rotation- and sign-invariant relative L2 distance between shapes.
 
-    Both shapes are sampled on a uniform grid; the distance is minimized
-    over all circular rotations of the second shape (coarse grid search
-    followed by local refinement) and over a global sign flip, then divided
-    by the larger of the two norms.  Zero iff the shapes coincide up to
-    rotation and sign.
+    The L2 misfit of ``s1`` and ``+-s2(. + delta)``, minimized over delta and
+    the sign, over the larger norm; all read off the coefficients by Parseval.
+    The cross term is sampled on 8*(K+1) rotations, and Newton steps polish
+    every local extremum of its magnitude.  Zero iff the shapes coincide up
+    to rotation and sign.
     """
-    m = DISTANCE_GRID
-    tau = 2.0 * np.pi * np.arange(m) / m
-    x1 = s1(tau)
-    x2 = s2(tau)
-    scale = max(np.linalg.norm(x1), np.linalg.norm(x2))
+    k_max = max(s1.band_limit, s2.band_limit)
+    c1, c2 = (np.pad(np.asarray(s.coeffs, dtype=complex), (0, k_max - s.band_limit)) for s in (s1, s2))
+    c1[0], c2[0] = c1[0].real, c2[0].real
+    k = np.arange(k_max + 1)
+    weights = np.where(k == 0, 1.0, 2.0)  # mean of s^2 is weights @ |c|^2
+    scale = max(weights @ np.abs(c1) ** 2, weights @ np.abs(c2) ** 2)
     if scale == 0.0:
         return 0.0
-    # corr[j] = <x1, s2 rotated by 2*pi*j/m>, all rotations at once
-    corr = np.fft.irfft(np.fft.rfft(x2) * np.conj(np.fft.rfft(x1)), m)
-    width = 2.0 * np.pi / m
-    best = np.inf
-    for sign in (1.0, -1.0):
-        center = 2.0 * np.pi * int(np.argmax(sign * corr)) / m
-
-        def misfit(offset: float, sign=sign) -> float:
-            return float(np.linalg.norm(x1 - sign * s2(tau + offset)))
-
-        refined = minimize_scalar(
-            misfit, bounds=(center - width, center + width), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = min(best, misfit(center), float(refined.fun))
-    return best / scale
+    # cross(delta) = Re sum_k w_k exp(1j*k*delta), sampled up to a factor 1/m
+    w = weights * np.conj(c1) * c2
+    m = 8 * (k_max + 1)
+    mag = np.abs(np.fft.irfft(np.conj(c1) * c2, m))
+    delta = 2.0 * np.pi * np.flatnonzero((mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))) / m
+    for _ in range(8):  # Newton steps on cross'(delta) = 0
+        z = w * np.exp(1j * np.outer(delta, k))
+        curvature = z.real @ (k * k)
+        delta -= np.divide(z.imag @ k, curvature, out=np.zeros_like(curvature), where=curvature != 0.0)
+    # the misfit as a coefficient difference stays accurate for near-equal shapes
+    rotated = c2 * np.exp(1j * np.outer(delta, k))
+    misfit = np.minimum(np.abs(c1 - rotated) ** 2 @ weights, np.abs(c1 + rotated) ** 2 @ weights)
+    return float(np.sqrt(np.min(misfit) / scale))

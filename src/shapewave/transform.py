@@ -58,11 +58,6 @@ def forward_spectrum(values) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(values))
 
 
-def inverse_from_shifted(spectrum_fftshift: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`forward_spectrum` (includes the 1/n factor)."""
-    return np.fft.ifft(np.fft.ifftshift(spectrum_fftshift))
-
-
 def default_grid_size(n_samples: int, l_theta: int) -> int:
     """Smallest power of two >= max(n_samples, 8 * l_theta)."""
     return 1 << int(max(n_samples, 8 * l_theta) - 1).bit_length()
@@ -122,6 +117,18 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _band_samples(pds: PhaseDomainSignal, k: int, size: int, trim_unpaired: bool) -> np.ndarray:
+    """Band ``k`` at baseband, sampled at phi = j/size (size n, or l_theta once trimmed)."""
+    n = pds.grid.n
+    lo, hi = band_indices(k, pds.l_theta, n)
+    if trim_unpaired and pds.l_theta % 2 == 0:
+        lo += 1
+    offsets = np.arange(lo, hi + 1) - k * pds.l_theta
+    buf = np.zeros(size, dtype=complex)
+    buf[offsets % size] = pds.spectrum[lo + n // 2 : hi + 1 + n // 2]
+    return np.fft.ifft(buf) * (size / n)
+
+
 def extract_demodulated_band(pds: PhaseDomainSignal, k: int,
                              trim_unpaired: bool = False) -> DemodulatedBand:
     """Isolate harmonic band ``k`` and shift it down to baseband.
@@ -136,15 +143,7 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int,
     path discards it, while the default keeps the band's exact tiling of the
     frequency axis.
     """
-    n = pds.grid.n
-    lo, hi = band_indices(k, pds.l_theta, n)
-    if trim_unpaired and pds.l_theta % 2 == 0:
-        lo += 1
-    omega = spectrum_frequencies(n)
-    mask = (omega >= lo) & (omega <= hi)
-    buf = np.zeros(n, dtype=complex)
-    buf[(omega[mask] - k * pds.l_theta) % n] = pds.spectrum[mask]
-    return DemodulatedBand(k=k, values=np.fft.ifft(buf))
+    return DemodulatedBand(k=k, values=_band_samples(pds, k, pds.grid.n, trim_unpaired))
 
 
 def interp_phase_to_time(values_phase, phase: PhaseFunction, times) -> np.ndarray:

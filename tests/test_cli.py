@@ -87,6 +87,17 @@ class TestExtract:
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run(["extract", tmp_path / "nope.csv", "--estimate-phase"]) == 2
 
+    @pytest.mark.parametrize("option", [["--K", 0], ["--n", 1000]])
+    def test_bad_option_is_usage_error(self, ex1_files, option, capsys):
+        signal_path, phase_path, _ = ex1_files
+        assert run(["extract", signal_path, "--phase", phase_path, *option]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_too_small_grid_is_pipeline_error(self, ex1_files, capsys):
+        signal_path, phase_path, _ = ex1_files
+        assert run(["extract", signal_path, "--phase", phase_path, "--n", 64]) == 1
+        assert "GridTooCoarse" in capsys.readouterr().err
+
     def test_estimated_phase_route(self, ex1_files, capsys):
         signal_path, _, _ = ex1_files
         assert run(["extract", signal_path, "--estimate-phase"]) == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,33 @@ def als_rank_one(entries, seed=0, tol=1e-12, max_iter=500):
             break
         prev = objective
     return objective, sigma, u, v
+
+
+def n_row_fit(signal, phase, band_limit, grid_size=None, zero_dc=False):
+    """Reference fit on the full n x (2K+1) band matrix, normalized like extract_shape."""
+    n = grid_size or sw.default_grid_size(signal.n_samples, phase.l_theta)
+    pds = sw.resample_to_phase(signal, phase, n)
+    if zero_dc:
+        lo, hi = sw.band_indices(0, phase.l_theta, n)
+        spectrum = pds.spectrum.copy()
+        spectrum[lo + n // 2 : hi + n // 2 + 1] = 0.0
+        pds = dataclasses.replace(pds, spectrum=spectrum)
+    bands = [sw.extract_demodulated_band(pds, k, trim_unpaired=True) for k in range(band_limit + 1)]
+    fit = sw.rank_one_fit(sw.assemble_band_matrix(bands))
+    c_raw = coefficients_from_right_vector(fit.right)
+    c_raw *= np.exp(-1j * np.arange(band_limit + 1) * phase.phase_origin)
+    values_phase, coeffs = sw.normalize_rank1_factors(fit.left, c_raw, fit.sigma1)
+    return fit, values_phase, coeffs
+
+
+def odd_periods_record():
+    """Noisy record with 21 periods, a wobbling phase and a non-sinusoidal shape."""
+    t = np.linspace(0.0, 1.0, 4096)
+    theta = 2.0 * np.pi * 21 * t + 0.5 * np.cos(2.0 * np.pi * t)
+    noise = 0.05 * np.random.default_rng(21).standard_normal(len(t))
+    values = (1.5 + np.sin(2.0 * np.pi * t)) * np.cos(theta + 0.4 * np.sin(theta)) + noise
+    signal = sw.validate_signal(t, values)
+    return signal, sw.exact_phase_from_samples(signal, theta)
 
 
 def make_bands(arrays):
@@ -211,6 +240,32 @@ class TestExtractShape:
         mags = np.abs(result.shape.coeffs)
         assert mags[0] <= 1e-10 * np.max(mags)
 
+    @pytest.mark.parametrize("case", ["even-l20", "odd-l21", "l-below-2K+1", "zero-dc-grid"])
+    def test_matches_n_row_reference(self, example1, case):
+        signal, _, _, phase = example1
+        kwargs = {"band_limit": 20}
+        if case == "odd-l21":
+            signal, phase = odd_periods_record()
+        elif case == "l-below-2K+1":
+            kwargs = {"band_limit": 15}
+        elif case == "zero-dc-grid":
+            kwargs = {"band_limit": 15, "grid_size": 8192, "zero_dc": True}
+        result = sw.extract_shape(signal, phase, **kwargs)
+        fit, values_phase, coeffs = n_row_fit(signal, phase, **kwargs)
+
+        tol = 1e-12
+        s = fit.singular_values
+        assert len(result.fit.singular_values) == min(result.grid_size, 2 * kwargs["band_limit"] + 1)
+        assert np.all(result.fit.singular_values[phase.l_theta:] == 0.0)
+        np.testing.assert_allclose(result.fit.singular_values, s, rtol=0, atol=tol * s[0])
+        np.testing.assert_allclose(result.shape.coeffs, coeffs, rtol=0,
+                                   atol=tol * np.max(np.abs(coeffs)))
+        np.testing.assert_allclose(result.envelope.values_phase, values_phase, rtol=0,
+                                   atol=tol * np.max(np.abs(values_phase)))
+        assert abs(result.fit.objective_value - fit.objective) <= tol * s[0] ** 2
+        energy = s[0] ** 2 / np.sum(s**2)
+        assert abs(result.fit.rank1_energy_fraction - energy) <= tol * energy
+
     def test_reconstruction_identity(self, example1, example1_result):
         signal, _, _, phase = example1
         model = example1_result.envelope.values_time * example1_result.shape(phase.phases)
@@ -240,16 +295,36 @@ class TestShapeDistance:
         d21 = sw.shape_distance(example1_result.shape, cos_shape)
         assert abs(d12 - d21) <= 1e-9
 
-    def test_matches_brute_force_oracle(self, example1_result):
-        cos_shape = sw.ShapeFunction(coeffs=np.array([0.0, 0.5 + 0.0j]))
-        other = example1_result.shape
-        value = sw.shape_distance(cos_shape, other)
+    @pytest.mark.parametrize("case", ["cosine-vs-example1", "k20-vs-rotated-negated-k15",
+                                      "rotated-negated-k15-vs-k20", "random-k21-vs-k16"])
+    def test_matches_brute_force_oracle(self, example1, example1_result, case):
+        if case == "cosine-vs-example1":
+            first = sw.ShapeFunction(coeffs=np.array([0.0, 0.5 + 0.0j]))
+            other = example1_result.shape
+        elif case == "random-k21-vs-k16":
+            # the largest cross-term sample on an 8*(K+1)-point rotation grid
+            # sits on the wrong lobe here: refining only that one is 3e-4 off
+            rng = np.random.default_rng(2320)
+            first, other = (
+                sw.ShapeFunction(coeffs=(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                                 / np.arange(1, n + 1))
+                for n in (22, 17)
+            )
+        else:
+            # unequal band limits and the sign branch: example1 at K=20
+            # against example1 at K=15, negated and rotated by pi/2
+            signal, _, _, phase = example1
+            k20 = sw.extract_shape(signal, phase, band_limit=20).shape
+            c15 = example1_result.shape.coeffs
+            turned = sw.ShapeFunction(coeffs=-c15 * np.exp(0.5j * np.pi * np.arange(len(c15))))
+            first, other = (k20, turned) if case.startswith("k20") else (turned, k20)
+        value = sw.shape_distance(first, other)
 
         # dense offset search: <x1, s2(. + offset)> is a trig polynomial in
         # the offset, evaluated here on 2^18 offsets from its closed form
         m = 512
         tau = 2.0 * np.pi * np.arange(m) / m
-        x1 = cos_shape(tau)
+        x1 = first(tau)
         x2 = other(tau)
         coeffs = other.coeffs
         k = np.arange(len(coeffs))
