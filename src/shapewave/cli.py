@@ -105,8 +105,11 @@ def _load_phase(args, parser, signal):
     if args.phase is not None:
         _require_file(parser, args.phase)
         return exact_phase_from_samples(signal, load_phase_csv(args.phase))
-    config = PhaseEstimateConfig(fundamental_hint=args.fundamental_hint,
-                                 smoothing_cutoff=args.lam)
+    try:
+        config = PhaseEstimateConfig(fundamental_hint=args.fundamental_hint,
+                                     smoothing_cutoff=args.lam)
+    except ValueError as exc:
+        parser.error(f"--lambda: {exc}")
     return estimate_phase(signal, config)
 
 
@@ -197,13 +200,16 @@ def cmd_extract_local(args, parser) -> int:
         parser.error(f"--mu must be >= 1, got {args.mu}")
     _require_file(parser, args.input)
     signal = load_signal_csv(args.input)
-    phase = _load_phase(args, parser, signal)
     centers = None
     if args.centers is not None:
         try:
             centers = [int(c) for c in args.centers.split(",") if c.strip()]
         except ValueError:
             parser.error(f"--centers must be comma-separated integers, got {args.centers!r}")
+        for c in centers:
+            if not 0 <= c < signal.n_samples:
+                parser.error(f"--centers index {c} out of range for {signal.n_samples} samples")
+    phase = _load_phase(args, parser, signal)
     track = extract_shape_track(signal, phase, centers=centers, mu=args.mu,
                                 band_limit=args.K)
 

@@ -143,12 +143,21 @@ class ExtractionResult:
 
 
 def evaluate_shape(coeffs: np.ndarray, tau):
-    """Evaluate ``c_0 + 2 * sum_{k>=1} Re(c_k exp(1j k tau))`` vectorized."""
+    """Evaluate ``c_0 + 2 * sum_{k>=1} Re(c_k exp(1j k tau))`` vectorized.
+
+    The sum is a polynomial in ``z = exp(1j tau)``, summed by Horner's rule
+    in place: O(len(tau) * K) multiply-adds and O(len(tau)) memory.  Taking
+    powers of ``z`` never rounds the product ``k * tau``, so the result stays
+    accurate at large phase.
+    """
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    k = np.arange(1, len(coeffs))
-    out = np.full(tau_arr.shape, np.real(coeffs[0]), dtype=float)
-    if len(k):
-        out += 2.0 * np.real(np.exp(1j * np.outer(tau_arr, k)) @ coeffs[1:])
+    z = np.exp(1j * tau_arr)
+    acc = np.zeros_like(z)
+    for c in coeffs[:0:-1]:
+        acc += c
+        acc *= z
+    out = 2.0 * acc.real
+    out += np.real(coeffs[0])
     return out if np.ndim(tau) else float(out[0])
 
 

@@ -14,6 +14,7 @@ CSV formats (UTF-8, LF or CRLF, plain decimal notation):
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,15 @@ def integrate_duffing(params: DuffingParams):
     dt = params.dt
     steps = int(round(params.t_span / dt))
 
+    # Python floats and ``math`` keep the per-step cost low.  A float power
+    # too large for a double raises OverflowError; it becomes inf, as with
+    # NumPy scalars, and the blow-up check below reports it.
     def acc(t, u, v):
-        return gamma * np.cos(beta * t) - u - eps * np.sign(u) * np.abs(u) ** pw
+        try:
+            power = abs(u) ** pw
+        except OverflowError:
+            power = math.inf
+        return gamma * math.cos(beta * t) - u - eps * math.copysign(power, u)
 
     u = np.empty(steps + 1)
     v = np.empty(steps + 1)
@@ -110,7 +118,7 @@ def integrate_duffing(params: DuffingParams):
         k4v = acc(t + dt, uk + dt * k3u, vk + dt * k3v)
         uk = uk + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         vk = vk + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (np.isfinite(uk) and np.isfinite(vk)) or abs(uk) > BLOWUP_LIMIT:
+        if not (math.isfinite(uk) and math.isfinite(vk)) or abs(uk) > BLOWUP_LIMIT:
             raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
         u[k + 1], v[k + 1] = uk, vk
     times = np.arange(steps + 1) * dt

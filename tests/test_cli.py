@@ -160,6 +160,14 @@ class TestExtractLocal:
         assert run(["extract-local", signal_path, "--phase", phase_path,
                     "--mu", 0.5]) == 2
 
+    @pytest.mark.parametrize("centers, bad", [("5,999999", "999999"), ("-1,2048", "-1")])
+    def test_center_out_of_range_usage_error(self, ex1_files, capsys, centers, bad):
+        signal_path, phase_path, _ = ex1_files
+        assert run(["extract-local", signal_path, "--phase", phase_path,
+                    f"--centers={centers}"]) == 2
+        err = capsys.readouterr().err
+        assert f"index {bad} out of range for 4096 samples" in err
+
     def test_partial_failures_recorded(self, ex1_files, tmp_path):
         signal_path, phase_path, _ = ex1_files
         assert run(["extract-local", signal_path, "--phase", phase_path,
@@ -167,3 +175,11 @@ class TestExtractLocal:
         rows = (tmp_path / "ex1.track.csv").read_text().splitlines()
         assert "TooFewPeriods" in rows[1]
         assert rows[2].split(",")[2] == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "extract-local"])
+@pytest.mark.parametrize("lam", [0.9, 0.0])
+def test_lambda_out_of_range_usage_error(ex1_files, capsys, command, lam):
+    signal_path, _, _ = ex1_files
+    assert run([command, signal_path, "--estimate-phase", "--lambda", lam]) == 2
+    assert "--lambda" in capsys.readouterr().err

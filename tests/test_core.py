@@ -135,3 +135,25 @@ class TestShapeFunction:
     def test_scalar_evaluation(self):
         shape = sw.ShapeFunction(coeffs=np.array([0.0, 0.5 + 0.0j]))
         assert abs(shape(0.0) - 1.0) < 1e-15
+
+    @pytest.mark.parametrize("offset", [0.0, np.round(2.0**40 / 3.0) / 2.0**40])
+    def test_accurate_at_large_phase(self, offset):
+        # tau = j/32 + offset reaches 2048 rad.  k * (j/32) and k * offset
+        # (40 fractional bits) are exact in double for k <= 20, so the
+        # reference, summed per k by angle addition, rounds no argument.
+        # With the nonzero offset k * tau itself is not exact in double.
+        K = 20
+        rng = np.random.default_rng(11)
+        coeffs = (rng.standard_normal(K + 1) + 1j * rng.standard_normal(K + 1)) \
+            / np.r_[1.0, np.arange(1, K + 1)]
+        tau0 = np.arange(65536) / 32.0
+        ref = np.full(tau0.shape, coeffs[0].real)
+        for k in range(1, K + 1):
+            ref += 2.0 * np.real(coeffs[k] * np.exp(1j * k * tau0) * np.exp(1j * k * offset))
+        got = evaluate_shape(coeffs, tau0 + offset)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_constant_shape(self):
+        coeffs = np.array([1.5 + 0.25j])
+        np.testing.assert_array_equal(evaluate_shape(coeffs, np.linspace(0.0, 9.0, 7)), 1.5)
+        assert evaluate_shape(coeffs, 2.0) == 1.5

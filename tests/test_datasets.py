@@ -77,6 +77,12 @@ class TestGenDuffing:
         with pytest.raises(sw.NonFiniteState):
             sw.integrate_duffing(params)
 
+    def test_power_overflow_blows_up(self):
+        # |u|**21 exceeds the double range within the first step
+        params = sw.DuffingParams(omega_exponent=20.0, u0=1e3, v0=1e5, dt=0.1, t_span=1000.0)
+        with pytest.raises(sw.NonFiniteState, match=r"blew up at t = 0\.1$"):
+            sw.integrate_duffing(params)
+
     def test_noise_determinism(self):
         a = sw.gen_duffing(sw.DuffingParams(t_span=20.0, dt=0.01), sw.NoiseSpec(1.0, 3),
                            n_samples=1024)
