@@ -36,6 +36,7 @@ from .datasets import (
 from .errors import (
     AmbiguousFundamental,
     BandExceedsNyquist,
+    CenterOutOfRange,
     DegenerateFactors,
     DegenerateInput,
     GridTooCoarse,
@@ -82,4 +83,23 @@ from .transform import (
     spectrum_frequencies,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Envelope", "ExtractionResult", "FitDiagnostics", "NormalizedPhaseGrid",
+    "PhaseFunction", "ShapeFunction", "Signal", "evaluate_shape",
+    "normalize_rank1_factors", "validate_phase", "validate_signal",
+    "DuffingParams", "NoiseSpec", "example1_shape", "gen_duffing", "gen_example1",
+    "gen_morphing_shape", "integrate_duffing", "load_phase_csv", "load_signal_csv",
+    "AmbiguousFundamental", "BandExceedsNyquist", "CenterOutOfRange",
+    "DegenerateFactors", "DegenerateInput", "GridTooCoarse", "MismatchedLengths",
+    "NonConvergence", "NonFiniteState", "NonFiniteValue", "NonIncreasingTimes",
+    "NonMonotoneEstimate", "NonMonotonePhase", "NotNearIntegerPeriods",
+    "ParseError", "ShapewaveError", "TooFewPeriods", "TooShort", "WindowTooShort",
+    "BandMatrix", "Rank1Fit", "assemble_band_matrix", "default_band_limit",
+    "extract_shape", "rank_one_fit", "shape_distance",
+    "ShapeTrack", "WindowSpec", "extract_shape_track", "raised_cosine_taper",
+    "window_segment",
+    "PhaseEstimateConfig", "estimate_phase", "exact_phase_from_samples",
+    "DemodulatedBand", "PhaseDomainSignal", "band_indices", "default_grid_size",
+    "extract_demodulated_band", "forward_spectrum", "interp_phase_to_time",
+    "resample_to_phase", "spectrum_frequencies",
+]

@@ -24,7 +24,9 @@ from .datasets import (
     gen_morphing_shape,
     load_phase_csv,
     load_signal_csv,
+    write_envelope_csv,
     write_phase_csv,
+    write_residual_csv,
     write_shape_csv,
     write_signal_csv,
 )
@@ -102,14 +104,15 @@ def _require_file(parser, path):
 
 
 def _load_phase(args, parser, signal):
-    if args.phase is not None:
-        _require_file(parser, args.phase)
-        return exact_phase_from_samples(signal, load_phase_csv(args.phase))
+    # validated with either phase source, so a bad value is never silently ignored
     try:
         config = PhaseEstimateConfig(fundamental_hint=args.fundamental_hint,
                                      smoothing_cutoff=args.lam)
     except ValueError as exc:
         parser.error(f"--lambda: {exc}")
+    if args.phase is not None:
+        _require_file(parser, args.phase)
+        return exact_phase_from_samples(signal, load_phase_csv(args.phase))
     return estimate_phase(signal, config)
 
 
@@ -185,9 +188,8 @@ def cmd_extract(args, parser) -> int:
 
     tau = 2.0 * np.pi * np.arange(SHAPE_GRID) / SHAPE_GRID
     write_shape_csv(f"{prefix}.shape.csv", tau, result.shape(tau))
-    _write_columns(f"{prefix}.envelope.csv", ("t", "a"), signal.times,
-                   result.envelope.values_time)
-    _write_columns(f"{prefix}.residual.csv", ("t", "r"), signal.times, result.residual)
+    write_envelope_csv(f"{prefix}.envelope.csv", signal.times, result.envelope.values_time)
+    write_residual_csv(f"{prefix}.residual.csv", signal.times, result.residual)
 
     print(f"K={result.shape.band_limit} l_theta={result.l_theta} "
           f"rank1={result.fit.rank1_energy_fraction:.6f} resid={rel_resid:.6f} "
@@ -239,13 +241,6 @@ def cmd_extract_local(args, parser) -> int:
     print(f"centers={len(track.center_indices)} ok={ok} mu={args.mu:g} K={k_max} "
           f"l_theta={phase.l_theta} lambda={args.lam:g}")
     return 0
-
-
-def _write_columns(path, header, col_a, col_b):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{header[0]},{header[1]}\n")
-        for a, b in zip(col_a, col_b):
-            handle.write(f"{a:.17g},{b:.17g}\n")
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ CSV formats (UTF-8, LF or CRLF, plain decimal notation):
 * signal files:  header ``t,f``, one ``time,value`` record per line
 * phase files:   header ``t,theta``
 * shape files:   header ``tau,s`` (one period sampled on a uniform grid)
+* envelope and residual files: headers ``t,a`` and ``t,r``
 """
 
 from __future__ import annotations
@@ -232,10 +233,12 @@ def load_phase_csv(path) -> np.ndarray:
 
 
 def _write_two_columns(path, header, col_a, col_b):
+    # Python floats give the same digits as NumPy scalars at less cost per row
+    col_a, col_b = np.asarray(col_a).tolist(), np.asarray(col_b).tolist()
+    rows = (f"{a:.17g},{b:.17g}\n" for a, b in zip(col_a, col_b))
+    text = f"{header[0]},{header[1]}\n" + "".join(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{header[0]},{header[1]}\n")
-        for a, b in zip(col_a, col_b):
-            handle.write(f"{a:.17g},{b:.17g}\n")
+        handle.write(text)
 
 
 def write_signal_csv(path, signal: Signal):
@@ -248,3 +251,11 @@ def write_phase_csv(path, times, phases):
 
 def write_shape_csv(path, tau, values):
     _write_two_columns(path, ("tau", "s"), tau, values)
+
+
+def write_envelope_csv(path, times, envelope):
+    _write_two_columns(path, ("t", "a"), times, envelope)
+
+
+def write_residual_csv(path, times, residual):
+    _write_two_columns(path, ("t", "r"), times, residual)

@@ -69,6 +69,10 @@ class WindowTooShort(ShapewaveError):
     pass
 
 
+class CenterOutOfRange(ShapewaveError):
+    pass
+
+
 # ---- phase estimation ----------------------------------------------------------
 
 class AmbiguousFundamental(ShapewaveError):

@@ -79,10 +79,12 @@ def assemble_band_matrix(bands: list[DemodulatedBand]) -> BandMatrix:
     ordered = sorted(bands, key=lambda b: b.k)
     if [b.k for b in ordered] != list(range(len(bands))):
         raise MismatchedLengths("bands must cover k = 0..K exactly once")
-    cols = [ordered[0].values.real]
-    cols += [b.values.real for b in ordered[1:]]
-    cols += [b.values.imag for b in ordered[1:]]
-    entries = np.column_stack(cols)
+    return _band_matrix(np.array([b.values for b in ordered]))
+
+
+def _band_matrix(bands: np.ndarray) -> BandMatrix:
+    """Rows k = 0..K of band samples as columns [Re g_0..Re g_K, Im g_1..Im g_K]."""
+    entries = np.hstack((bands.real.T, bands[1:].imag.T))
     if not np.all(np.isfinite(entries)):
         raise NonFiniteValue("band matrix contains non-finite entries")
     return BandMatrix(entries=entries)
@@ -177,14 +179,14 @@ def extract_shape(
     # m = l_theta samples per trimmed band, scaled by sqrt(n/m), keep the
     # column inner products (so sigma, right vector, objective) of n samples
     m = phase.l_theta
-    bands = [DemodulatedBand(k=k, values=np.sqrt(n / m) * _band_samples(pds, k, m, True))
-             for k in range(k_max + 1)]
+    bands = np.sqrt(n / m) * _band_samples(pds, np.arange(k_max + 1), m, True)
     if zero_dc:
-        bands[0] = DemodulatedBand(k=0, values=np.zeros(m, dtype=complex))
-    fit = rank_one_fit(assemble_band_matrix(bands))
+        bands[0] = 0.0
+    fit = rank_one_fit(_band_matrix(bands))
     # zero-pad the envelope to n points; the trim leaves an even m's bin m/2 empty
     left = np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[: (m + 1) // 2], n)
-    singular_values = np.pad(fit.singular_values, (0, len(fit.right) - len(fit.singular_values)))
+    padding = np.zeros(len(fit.right) - len(fit.singular_values))
+    singular_values = np.concatenate((fit.singular_values, padding))
 
     # the bands live on the shifted variable theta - theta0; rotate the
     # coefficients so the shape is a function of the original phase

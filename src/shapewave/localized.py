@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ExtractionResult, PhaseFunction, ShapeFunction, Signal, validate_phase, validate_signal
-from .errors import ShapewaveError, WindowTooShort
+from .errors import CenterOutOfRange, ShapewaveError, WindowTooShort
 from .extract import default_band_limit, extract_shape, shape_distance
 from .transform import default_grid_size
 
@@ -49,7 +49,8 @@ class ShapeTrack:
 
     ``drift[i]`` is the shape distance between the shapes at centers i-1 and
     i (0 for the first entry, NaN when either side failed).  Failures are
-    recorded as messages in ``errors`` and leave None entries elsewhere.
+    recorded as messages in ``errors`` and leave None entries elsewhere; a
+    center outside the record also has a NaN ``center_times`` entry.
     """
 
     center_indices: np.ndarray
@@ -93,11 +94,13 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
 
     Raises
     ------
+    CenterOutOfRange
+        If ``center`` is not a sample index of the record.
     WindowTooShort
         If fewer than two whole periods are available around the center.
     """
     if not 0 <= center < signal.n_samples:
-        raise ValueError(f"center index {center} out of range")
+        raise CenterOutOfRange(f"center index {center} out of range for {signal.n_samples} samples")
     half = int(mu)
     theta = phase.phases
     theta_m = theta[center]
@@ -179,6 +182,10 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
             envelopes.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
 
+    # an out-of-range center has no time; its window failed above
+    center_times = np.full(len(center_idx), np.nan)
+    inside = (center_idx >= 0) & (center_idx < signal.n_samples)
+    center_times[inside] = signal.times[center_idx[inside]]
     drift = np.zeros(len(center_idx))
     for i in range(len(center_idx)):
         if i == 0:
@@ -189,7 +196,7 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
             drift[i] = shape_distance(shapes[i - 1], shapes[i])
     return ShapeTrack(
         center_indices=center_idx,
-        center_times=signal.times[center_idx] if len(center_idx) else np.array([]),
+        center_times=center_times,
         shapes=shapes,
         drift=drift,
         errors=errors,

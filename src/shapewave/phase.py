@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import MIN_PERIODS, PhaseFunction, Signal, validate_phase
-from .errors import AmbiguousFundamental, NonMonotoneEstimate
+from .errors import AmbiguousFundamental, DegenerateInput, NonMonotoneEstimate
+from .transform import natural_cubic_spline
 
 #: Required magnitude margin of the dominant spectral peak over the runner-up.
 PEAK_MARGIN = 1.05
@@ -93,6 +93,8 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
 
     Raises
     ------
+    DegenerateInput
+        The signal is identically zero, so it has no oscillation to follow.
     AmbiguousFundamental
         No sufficiently dominant spectral peak (and no hint given).
     NonMonotoneEstimate
@@ -102,6 +104,8 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
         config = PhaseEstimateConfig()
     times = signal.times
     values = signal.values
+    if not np.any(values):
+        raise DegenerateInput("signal is identically zero; it has no phase to estimate")
     n = len(values)
     steps = np.diff(times)
     uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
@@ -110,7 +114,7 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
         grid_v = values
     else:
         grid_t = np.linspace(times[0], times[-1], n)
-        grid_v = CubicSpline(times, values, bc_type="natural")(grid_t)
+        grid_v = natural_cubic_spline(times, values, grid_t)
 
     half_spectrum = np.fft.rfft(grid_v)
     magnitude = np.abs(half_spectrum)
@@ -149,7 +153,7 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
     smooth = trend + np.fft.ifft(dev_hat).real
 
     if not uniform:
-        smooth = CubicSpline(grid_t, smooth, bc_type="natural")(times)
+        smooth = natural_cubic_spline(grid_t, smooth, times)
     if np.any(np.diff(smooth) <= 0.0):
         raise NonMonotoneEstimate("estimated phase is not strictly increasing after smoothing")
     return validate_phase(signal, smooth)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from .core import NormalizedPhaseGrid, PhaseFunction, Signal
-from .errors import BandExceedsNyquist, GridTooCoarse
+from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,45 @@ def forward_spectrum(values) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(values))
 
 
+def natural_cubic_spline(x, y, xq) -> np.ndarray:
+    """Natural cubic spline through ``(x, y)``, evaluated at ``xq``.
+
+    ``x`` must be strictly increasing with at least two nodes.  The node
+    slopes solve the tridiagonal system of a spline with zero second
+    derivative at both ends; each interval is then the cubic Hermite piece
+    ``y_i + s_i*u + c1*u**2 + c0*u**3`` in ``u = xq - x_i``.  Queries outside
+    ``[x[0], x[-1]]`` are extrapolated with the end pieces.  Built and summed
+    in the same order as scipy's ``CubicSpline(x, y, bc_type="natural")``.
+
+    Raises
+    ------
+    DegenerateInput
+        If LAPACK reports the slope system singular.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xq = np.asarray(xq, dtype=float)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # rows i = 1..n-2 balance the second derivative across node i; the end
+    # rows set it to zero
+    diag = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]))
+    upper = np.concatenate((dx[:1], dx[:-1]))
+    lower = np.concatenate((dx[1:], dx[-1:]))
+    rhs = np.concatenate(([3 * (y[1] - y[0])], 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
+                          [3 * (y[-1] - y[-2])]))
+    *_, s, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
+    if info:
+        raise DegenerateInput(f"spline slope system is singular (LAPACK dgtsv info {info})")
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+    # interval of each query: clip(searchsorted(x, xq, "right") - 1, 0, len(x) - 2)
+    i = np.searchsorted(x[1:-1], xq, "right")
+    u = xq - x[i]
+    return y[i] + s[i] * u + c1[i] * (u * u) + c0[i] * (u * u * u)
+
+
 def default_grid_size(n_samples: int, l_theta: int) -> int:
     """Smallest power of two >= max(n_samples, 8 * l_theta)."""
     return 1 << int(max(n_samples, 8 * l_theta) - 1).bit_length()
@@ -81,10 +120,8 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int | None = None
         raise ValueError(f"grid size must be a power of two, got {n}")
     if n < 4 * phase.l_theta:
         raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * phase.l_theta}")
-    phi = phase.normalized()
-    spline = CubicSpline(phi, signal.values, bc_type="natural")
     grid = NormalizedPhaseGrid(n=n)
-    values = spline(grid.nodes)
+    values = natural_cubic_spline(phase.normalized(), signal.values, grid.nodes)
     return PhaseDomainSignal(
         grid=grid,
         values=values,
@@ -117,16 +154,23 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _band_samples(pds: PhaseDomainSignal, k: int, size: int, trim_unpaired: bool) -> np.ndarray:
-    """Band ``k`` at baseband, sampled at phi = j/size (size n, or l_theta once trimmed)."""
-    n = pds.grid.n
-    lo, hi = band_indices(k, pds.l_theta, n)
-    if trim_unpaired and pds.l_theta % 2 == 0:
-        lo += 1
-    offsets = np.arange(lo, hi + 1) - k * pds.l_theta
-    buf = np.zeros(size, dtype=complex)
-    buf[offsets % size] = pds.spectrum[lo + n // 2 : hi + 1 + n // 2]
-    return np.fft.ifft(buf) * (size / n)
+def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) -> np.ndarray:
+    """Bands ``ks`` at baseband, one row per band, sampled at phi = j/size.
+
+    ``size`` is n, or l_theta once trimmed.  Every band has the same bin
+    offsets relative to ``k*l_theta``, so all of them are gathered with one
+    index and transformed with one inverse FFT.
+    """
+    n, l_theta = pds.grid.n, pds.l_theta
+    ks = np.asarray(ks)
+    k_far = int(ks[np.argmax(np.abs(ks))])
+    lo, hi = band_indices(k_far, l_theta, n)
+    offsets = np.arange(lo, hi + 1) - k_far * l_theta
+    if trim_unpaired and l_theta % 2 == 0:
+        offsets = offsets[1:]
+    buf = np.zeros((len(ks), size), dtype=complex)
+    buf[:, offsets % size] = pds.spectrum[ks[:, None] * l_theta + offsets + n // 2]
+    return np.fft.ifft(buf, axis=1) * (size / n)
 
 
 def extract_demodulated_band(pds: PhaseDomainSignal, k: int,
@@ -143,7 +187,7 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int,
     path discards it, while the default keeps the band's exact tiling of the
     frequency axis.
     """
-    return DemodulatedBand(k=k, values=_band_samples(pds, k, pds.grid.n, trim_unpaired))
+    return DemodulatedBand(k=k, values=_band_samples(pds, [k], pds.grid.n, trim_unpaired)[0])
 
 
 def interp_phase_to_time(values_phase, phase: PhaseFunction, times) -> np.ndarray:
@@ -159,6 +203,4 @@ def interp_phase_to_time(values_phase, phase: PhaseFunction, times) -> np.ndarra
         raise ValueError("times must be the grid the phase function is aligned with")
     n = len(values_phase)
     nodes = np.arange(n + 1) / n
-    spline = CubicSpline(nodes, np.append(values_phase, values_phase[0]), bc_type="natural")
-    phi = (phase.phases - phase.phases[0]) / phase.span
-    return spline(phi)
+    return natural_cubic_spline(nodes, np.append(values_phase, values_phase[0]), phase.normalized())

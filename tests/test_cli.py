@@ -180,6 +180,7 @@ class TestExtractLocal:
 @pytest.mark.parametrize("command", ["extract", "extract-local"])
 @pytest.mark.parametrize("lam", [0.9, 0.0])
 def test_lambda_out_of_range_usage_error(ex1_files, capsys, command, lam):
-    signal_path, _, _ = ex1_files
-    assert run([command, signal_path, "--estimate-phase", "--lambda", lam]) == 2
-    assert "--lambda" in capsys.readouterr().err
+    signal_path, phase_path, _ = ex1_files
+    for source in (["--estimate-phase"], ["--phase", phase_path]):
+        assert run([command, signal_path, *source, "--lambda", lam]) == 2
+        assert "--lambda" in capsys.readouterr().err

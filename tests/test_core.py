@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,12 @@ import shapewave as sw
 from shapewave.core import SHAPE_GRID, evaluate_shape
 
 from conftest import TAU_GRID
+
+
+def test_all_names_public_objects_not_modules():
+    assert len(set(sw.__all__)) == len(sw.__all__)
+    for name in sw.__all__:
+        assert not isinstance(getattr(sw, name), types.ModuleType), name
 
 
 class TestValidateSignal:

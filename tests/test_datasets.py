@@ -157,3 +157,11 @@ class TestCsv:
         sw.datasets.write_phase_csv(path, signal.times, theta)
         loaded = sw.load_phase_csv(path)
         np.testing.assert_array_equal(loaded, theta)
+
+    @pytest.mark.parametrize("writer, header", [("write_envelope_csv", b"t,a"),
+                                                ("write_residual_csv", b"t,r")])
+    def test_written_bytes_pinned(self, tmp_path, writer, header):
+        path = tmp_path / "out.csv"
+        getattr(sw.datasets, writer)(path, np.array([-0.0, 0.1]),
+                                     np.array([1e-300, 1.7976931348623157e308]))
+        assert path.read_bytes() == header + b"\n-0,1e-300\n0.10000000000000001,1.7976931348623157e+308\n"

@@ -124,6 +124,14 @@ class TestExtractShapeTrack:
         short = sw.extract_shape_track(signal, phase, centers=[100, 2048], mu=1)
         assert short.errors[0] is not None and "WindowTooShort" in short.errors[0]
 
+    def test_center_out_of_range_recorded_not_raised(self, example1):
+        signal, _, _, phase = example1
+        track = sw.extract_shape_track(signal, phase, centers=[2048, 999999], mu=3)
+        assert len(track.errors) == 2
+        assert track.errors[0] is None and track.shapes[0] is not None
+        assert "CenterOutOfRange" in track.errors[1]
+        assert np.isnan(track.drift[1]) and np.isnan(track.center_times[1])
+
     def test_drift_nonnegative(self, example1):
         signal, _, _, phase = example1
         centers = np.linspace(700, 3400, 5).astype(int)

@@ -37,6 +37,11 @@ class TestEstimatePhase:
         with pytest.raises(sw.AmbiguousFundamental):
             sw.estimate_phase(signal)
 
+    def test_all_zero_signal_is_degenerate(self):
+        signal = sw.validate_signal(np.linspace(0.0, 1.0, 1024), np.zeros(1024))
+        with pytest.raises(sw.DegenerateInput):
+            sw.estimate_phase(signal)
+
     def test_hint_overrides_search(self, example1):
         signal, _, _, _ = example1
         config = sw.PhaseEstimateConfig(fundamental_hint=20)

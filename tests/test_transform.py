@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import shapewave as sw
+from shapewave import transform
 
 from conftest import make_tone
 
@@ -253,3 +254,44 @@ class TestInterpPhaseToTime:
         pds = sw.resample_to_phase(signal, phase, 4096)
         back = sw.interp_phase_to_time(pds.values, phase, signal.times)
         assert np.max(np.abs(back - values)) <= 1e-4 * np.max(np.abs(values))
+
+
+class TestNaturalCubicSpline:
+    """Against scipy's natural CubicSpline, kept in the tests as the reference."""
+
+    @staticmethod
+    def assert_matches_scipy(x, y, xq):
+        from scipy.interpolate import CubicSpline
+
+        ref = CubicSpline(x, y, bc_type="natural")(xq)
+        got = transform.natural_cubic_spline(x, y, xq)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(y))
+
+    def test_non_uniform_nodes_on_uniform_grid(self):
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.uniform(0.2, 1.8, 1229))
+        y = np.sin(x / 7.0) + 0.1 * rng.standard_normal(len(x))
+        self.assert_matches_scipy(x, y, np.linspace(x[0], x[-1], 4096, endpoint=False))
+
+    def test_uniform_nodes_at_non_uniform_points(self):
+        rng = np.random.default_rng(6)
+        x = np.arange(513) / 512
+        y = rng.standard_normal(len(x))
+        xq = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 3000)), [1.0]))
+        self.assert_matches_scipy(x, y, xq)
+
+    def test_extrapolates_with_end_pieces(self):
+        x = np.array([0.0, 0.3, 0.5, 1.1, 2.0])
+        y = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+        self.assert_matches_scipy(x, y, np.array([-0.1, -1e-12, 2.0 + 1e-12, 2.1]))
+
+    @pytest.mark.parametrize("nodes", [2, 3])
+    def test_fewest_nodes(self, nodes):
+        x = np.array([0.0, 0.7, 2.0])[:nodes]
+        y = np.array([1.5, -0.5, 2.5])[:nodes]
+        self.assert_matches_scipy(x, y, np.linspace(-0.5, 2.5, 31))
+
+    def test_singular_system_is_typed_error(self):
+        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(sw.DegenerateInput):
+            transform.natural_cubic_spline([0.0, 0.0], [1.0, 2.0], [0.5])
