@@ -65,7 +65,6 @@ from .extract import (
 )
 from .localized import (
     ShapeTrack,
-    WindowSpec,
     extract_shape_track,
     raised_cosine_taper,
     window_segment,
@@ -80,7 +79,6 @@ from .transform import (
     forward_spectrum,
     interp_phase_to_time,
     resample_to_phase,
-    spectrum_frequencies,
 )
 
 __all__ = [
@@ -96,10 +94,10 @@ __all__ = [
     "ParseError", "ShapewaveError", "TooFewPeriods", "TooShort", "WindowTooShort",
     "BandMatrix", "Rank1Fit", "assemble_band_matrix", "default_band_limit",
     "extract_shape", "rank_one_fit", "shape_distance",
-    "ShapeTrack", "WindowSpec", "extract_shape_track", "raised_cosine_taper",
+    "ShapeTrack", "extract_shape_track", "raised_cosine_taper",
     "window_segment",
     "PhaseEstimateConfig", "estimate_phase", "exact_phase_from_samples",
     "DemodulatedBand", "PhaseDomainSignal", "band_indices", "default_grid_size",
     "extract_demodulated_band", "forward_spectrum", "interp_phase_to_time",
-    "resample_to_phase", "spectrum_frequencies",
+    "resample_to_phase",
 ]

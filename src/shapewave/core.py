@@ -148,17 +148,21 @@ def evaluate_shape(coeffs: np.ndarray, tau):
     The sum is a polynomial in ``z = exp(1j tau)``, summed by Horner's rule
     in place: O(len(tau) * K) multiply-adds and O(len(tau)) memory.  Taking
     powers of ``z`` never rounds the product ``k * tau``, so the result stays
-    accurate at large phase.
+    accurate at large phase.  A stack of coefficient vectors ``(..., K+1)``
+    gives one row of values per vector, each equal to its own evaluation.
     """
+    coeffs = np.asarray(coeffs)
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
     z = np.exp(1j * tau_arr)
-    acc = np.zeros_like(z)
-    for c in coeffs[:0:-1]:
-        acc += c
+    # coefficient k of every stacked vector, shaped to broadcast against z
+    column = coeffs.shape[:-1] + (1,) * z.ndim
+    acc = np.zeros(coeffs.shape[:-1] + z.shape, dtype=complex)
+    for k in range(coeffs.shape[-1] - 1, 0, -1):
+        acc += coeffs[..., k].reshape(column)
         acc *= z
     out = 2.0 * acc.real
-    out += np.real(coeffs[0])
-    return out if np.ndim(tau) else float(out[0])
+    out += np.real(coeffs[..., 0]).reshape(column)
+    return out if np.ndim(tau) or coeffs.ndim > 1 else float(out[0])
 
 
 def validate_signal(times, values) -> Signal:
@@ -219,7 +223,7 @@ def validate_phase(signal: Signal, phases) -> PhaseFunction:
     return PhaseFunction(phases=phases, l_theta=l_theta)
 
 
-def normalize_rank1_factors(a_raw, c_raw, s1: float):
+def normalize_rank1_factors(a_raw, c_raw, s1):
     """Turn unit-norm rank-1 factors into the canonical envelope and shape.
 
     The rank-1 solution determines envelope and coefficients only up to a
@@ -228,30 +232,40 @@ def normalize_rank1_factors(a_raw, c_raw, s1: float):
     absolute value on the reference grid, and picks the sign that makes the
     envelope mean nonnegative.  The product envelope * shape is unchanged.
 
+    Every argument may carry the same leading stack axes; each stacked
+    factor pair is then normalized on its own, exactly as if alone.
+
     Parameters
     ----------
-    a_raw : ndarray, size=(n,)
+    a_raw : ndarray, size=(..., n)
         Unit-norm left factor (envelope samples on the phase grid).
-    c_raw : ndarray of complex, size=(K+1,)
+    c_raw : ndarray of complex, size=(..., K+1)
         Unit-norm harmonic coefficients c_0..c_K.
-    s1 : float
+    s1 : float or ndarray, size=(...)
         Leading singular value, > 0.
 
     Returns
     -------
-    values_phase : ndarray, size=(n,)
+    values_phase : ndarray, size=(..., n)
         Normalized envelope samples on the phase grid.
-    coeffs : ndarray of complex, size=(K+1,)
+    coeffs : ndarray of complex, size=(..., K+1)
         Normalized shape coefficients.
+
+    Raises
+    ------
+    DegenerateFactors
+        If any ``s1`` is not positive or any shape factor is identically zero.
     """
     a_raw = np.asarray(a_raw, dtype=float)
     c_raw = np.asarray(c_raw, dtype=complex)
-    if not (s1 > 0.0):
+    s1 = np.asarray(s1, dtype=float)
+    if not np.all(s1 > 0.0):
         raise DegenerateFactors("leading singular value must be positive")
-    peak = np.max(np.abs(evaluate_shape(c_raw, 2.0 * np.pi * np.arange(SHAPE_GRID) / SHAPE_GRID)))
-    if peak == 0.0:
+    grid = 2.0 * np.pi * np.arange(SHAPE_GRID) / SHAPE_GRID
+    peak = np.max(np.abs(evaluate_shape(c_raw, grid)), axis=-1)
+    if np.any(peak == 0.0):
         raise DegenerateFactors("shape factor is identically zero")
-    sign = 1.0 if np.mean(a_raw) >= 0.0 else -1.0
-    values_phase = sign * s1 * peak * a_raw
-    coeffs = (sign / peak) * c_raw
+    sign = np.where(np.mean(a_raw, axis=-1) >= 0.0, 1.0, -1.0)
+    values_phase = (sign * s1 * peak)[..., None] * a_raw
+    coeffs = (sign / peak)[..., None] * c_raw
     return values_phase, coeffs

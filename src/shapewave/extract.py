@@ -5,7 +5,9 @@ by one harmonic coefficient each.  Stacking their real and imaginary parts
 as columns therefore yields a matrix that is rank 1 up to the residual, and
 the best envelope/coefficient pair in the least-squares sense is the leading
 singular triplet.  Each band is a trigonometric polynomial of degree below
-``l_theta/2``, so the fit runs on ``l_theta`` samples per band.
+``l_theta/2``, so the fit runs on ``l_theta`` samples per band.  Records that
+share their period count, grid and band count (the windows of a track) are
+fitted as one stack of such matrices.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class BandMatrix:
 
     @property
     def band_limit(self) -> int:
-        return (self.entries.shape[1] - 1) // 2
+        return (self.entries.shape[-1] - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,7 @@ class Rank1Fit:
 
     ``objective`` is the squared Frobenius misfit of the rank-1
     approximation, equal to the sum of the squared trailing singular values.
+    Fitted on a stack of matrices, every field carries the stack axes.
     """
 
     left: np.ndarray
@@ -83,8 +86,8 @@ def assemble_band_matrix(bands: list[DemodulatedBand]) -> BandMatrix:
 
 
 def _band_matrix(bands: np.ndarray) -> BandMatrix:
-    """Rows k = 0..K of band samples as columns [Re g_0..Re g_K, Im g_1..Im g_K]."""
-    entries = np.hstack((bands.real.T, bands[1:].imag.T))
+    """Rows k = 0..K of band samples as columns [Re g_0..Re g_K, Im g_1..Im g_K], per stacked block."""
+    entries = np.concatenate((bands.real, bands[..., 1:, :].imag), axis=-2).swapaxes(-1, -2)
     if not np.all(np.isfinite(entries)):
         raise NonFiniteValue("band matrix contains non-finite entries")
     return BandMatrix(entries=entries)
@@ -93,28 +96,30 @@ def _band_matrix(bands: np.ndarray) -> BandMatrix:
 def rank_one_fit(matrix: BandMatrix) -> Rank1Fit:
     """Best rank-1 approximation of the band matrix in the Frobenius norm.
 
+    A stack of matrices ``(..., m, 2K+1)`` is fitted with one stacked SVD;
+    every field of the result then carries the stack axes in front, and
+    each matrix's triplet equals its own fit.
+
     Raises
     ------
     DegenerateInput
-        If the matrix is identically zero.
+        If a matrix is identically zero.
     NonConvergence
         If the underlying SVD fails to converge.
     """
     entries = matrix.entries
-    total = float(np.sum(entries * entries))
-    if total == 0.0:
+    if np.any(np.sum(entries * entries, axis=(-2, -1)) == 0.0):
         raise DegenerateInput("band matrix is identically zero")
     try:
         u, s, vt = np.linalg.svd(entries, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"SVD failed: {exc}") from exc
-    objective = float(np.sum(s[1:] ** 2))
     return Rank1Fit(
-        left=u[:, 0],
-        right=vt[0],
-        sigma1=float(s[0]),
+        left=u[..., :, 0],
+        right=vt[..., 0, :],
+        sigma1=s[..., 0],
         singular_values=s,
-        objective=objective,
+        objective=np.sum(s[..., 1:] ** 2, axis=-1),
     )
 
 
@@ -130,12 +135,62 @@ def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
 
     Layout matches the band matrix columns: ``right[0..K]`` are the real
     parts of c_0..c_K and ``right[K+1..2K]`` the imaginary parts of c_1..c_K.
+    Leading stack axes are kept.
     """
-    k_max = (len(right) - 1) // 2
-    coeffs = np.zeros(k_max + 1, dtype=complex)
-    coeffs[0] = right[0]
-    coeffs[1:] = right[1 : k_max + 1] + 1j * right[k_max + 1 :]
+    k_max = (right.shape[-1] - 1) // 2
+    coeffs = np.zeros(right.shape[:-1] + (k_max + 1,), dtype=complex)
+    coeffs[..., 0] = right[..., 0]
+    coeffs[..., 1:] = right[..., 1 : k_max + 1] + 1j * right[..., k_max + 1 :]
     return coeffs
+
+
+def _band_block(signal: Signal, phase: PhaseFunction, n: int, k_max: int):
+    """Resample one record and cut its trimmed bands 0..K, ``l_theta`` samples each.
+
+    Returns the phase-domain signal and the (K+1) x l_theta band block.  The
+    samples are scaled by ``sqrt(n/l_theta)``, so the column inner products
+    (hence sigma, the right vector and the objective) are those of the
+    n-sample bands.
+    """
+    # fail early with the guidance message if band K does not fit
+    band_indices(k_max, phase.l_theta, n)
+    pds = resample_to_phase(signal, phase, n)
+    m = phase.l_theta
+    return pds, np.sqrt(n / m) * _band_samples(pds, np.arange(k_max + 1), m, True)
+
+
+def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
+    """Rank-1 fit and normalization of records that share l_theta, grid n and K.
+
+    ``records`` are the (signal, phase) pairs whose band blocks
+    ``_band_block`` stacked into ``blocks`` (W x (K+1) x l_theta).  One
+    stacked SVD and one stacked normalization serve all of them; every
+    record's outputs equal those of a stack holding it alone.
+
+    Returns
+    -------
+    (Rank1Fit, ndarray, ndarray, list)
+        The stacked fit, the normalized coefficients (W x (K+1)), the
+        phase-grid envelopes (W x n) and each record's envelope on its own
+        time grid.
+    """
+    m = blocks.shape[-1]
+    if zero_dc:
+        blocks[:, 0] = 0.0
+    fit = rank_one_fit(_band_matrix(blocks))
+    # zero-pad the envelopes to n points; the trim leaves an even m's bin m/2 empty
+    left = np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2], n)
+
+    # the bands live on the shifted variable theta - theta0; rotate the
+    # coefficients so each shape is a function of its original phase
+    origins = np.array([phase.phase_origin for _, phase in records])
+    c_raw = coefficients_from_right_vector(fit.right)
+    c_raw *= np.exp(-1j * np.arange(blocks.shape[-2]) * origins[:, None])
+    values_phase, coeffs = normalize_rank1_factors(left, c_raw, fit.sigma1)
+
+    values_time = [interp_phase_to_time(v, phase, signal.times)
+                   for v, (signal, phase) in zip(values_phase, records)]
+    return fit, coeffs, values_phase, values_time
 
 
 def extract_shape(
@@ -172,45 +227,74 @@ def extract_shape(
     k_max = band_limit if band_limit is not None else default_band_limit(n, phase.l_theta)
     if k_max < 1:
         raise ValueError("band limit must be at least 1")
-    # fail early with the guidance message if band K does not fit
-    band_indices(k_max, phase.l_theta, n)
-
-    pds = resample_to_phase(signal, phase, n)
-    # m = l_theta samples per trimmed band, scaled by sqrt(n/m), keep the
-    # column inner products (so sigma, right vector, objective) of n samples
-    m = phase.l_theta
-    bands = np.sqrt(n / m) * _band_samples(pds, np.arange(k_max + 1), m, True)
-    if zero_dc:
-        bands[0] = 0.0
-    fit = rank_one_fit(_band_matrix(bands))
-    # zero-pad the envelope to n points; the trim leaves an even m's bin m/2 empty
-    left = np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[: (m + 1) // 2], n)
-    padding = np.zeros(len(fit.right) - len(fit.singular_values))
-    singular_values = np.concatenate((fit.singular_values, padding))
-
-    # the bands live on the shifted variable theta - theta0; rotate the
-    # coefficients so the shape is a function of the original phase
-    c_raw = coefficients_from_right_vector(fit.right)
-    c_raw *= np.exp(-1j * np.arange(k_max + 1) * phase.phase_origin)
-    values_phase, coeffs = normalize_rank1_factors(left, c_raw, fit.sigma1)
-
-    values_time = interp_phase_to_time(values_phase, phase, signal.times)
+    # pds is held until the call returns: freed before the back-interpolation,
+    # its 24n bytes let malloc trim the heap, and the spline then faults the
+    # pages in again (about 10 % of a 65 536-sample call)
+    pds, block = _band_block(signal, phase, n, k_max)
+    fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], block[None], n, zero_dc)
+    coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 
+    # singular values past rank l_theta are reported as 0
+    s = fit.singular_values[0]
+    singular_values = np.concatenate((s, np.zeros(2 * k_max + 1 - len(s))))
     s_sq = singular_values**2
     diagnostics = FitDiagnostics(
         singular_values=singular_values,
         rank1_energy_fraction=float(s_sq[0] / np.sum(s_sq)),
-        objective_value=fit.objective,
+        objective_value=float(fit.objective[0]),
     )
     return ExtractionResult(
         shape=ShapeFunction(coeffs=coeffs),
-        envelope=Envelope(values_phase=values_phase, values_time=values_time),
+        envelope=Envelope(values_phase=values_phase[0], values_time=values_time),
         residual=residual,
         fit=diagnostics,
         l_theta=phase.l_theta,
         grid_size=n,
     )
+
+
+def _pair_distances(c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """:func:`shape_distance` of every row pair of two (P, K+1) coefficient stacks.
+
+    Each pair's cross term is sampled on 8*(K+1) rotations; Newton steps then
+    polish the local extrema of all pairs together, and each pair keeps its
+    smallest misfit.  Every row pair gives what it gives alone.
+    """
+    c1, c2 = c1.copy(), c2.copy()
+    c1[:, 0], c2[:, 0] = c1[:, 0].real, c2[:, 0].real
+    k = np.arange(c1.shape[-1])
+    weights = np.where(k == 0, 1.0, 2.0)  # mean of s^2 is sum(weights * |c|^2)
+    scale = np.maximum(np.sum(weights * np.abs(c1) ** 2, axis=-1),
+                       np.sum(weights * np.abs(c2) ** 2, axis=-1))
+    # cross(delta) = Re sum_k w_k exp(1j*k*delta), sampled up to a factor 1/m
+    w = weights * np.conj(c1) * c2
+    m = 8 * len(k)
+    mag = np.abs(np.fft.irfft(np.conj(c1) * c2, m))
+    pair, j = np.nonzero((mag >= np.roll(mag, 1, axis=-1)) & (mag >= np.roll(mag, -1, axis=-1)))
+    delta = 2.0 * np.pi * j / m
+    w = w[pair]
+    for _ in range(8):  # Newton steps on cross'(delta) = 0
+        z = w * np.exp(1j * (delta[:, None] * k))
+        curvature = np.sum(z.real * (k * k), axis=-1)
+        delta -= np.divide(np.sum(z.imag * k, axis=-1), curvature,
+                           out=np.zeros_like(curvature), where=curvature != 0.0)
+    # the misfit as a coefficient difference stays accurate for near-equal shapes
+    rotated = c2[pair] * np.exp(1j * (delta[:, None] * k))
+    misfit = np.minimum(np.sum(weights * np.abs(c1[pair] - rotated) ** 2, axis=-1),
+                        np.sum(weights * np.abs(c1[pair] + rotated) ** 2, axis=-1))
+    best = np.full(len(c1), np.inf)
+    np.minimum.at(best, pair, misfit)
+    # a pair of zero shapes is at distance 0
+    return np.sqrt(np.divide(best, scale, out=np.zeros_like(scale), where=scale != 0.0))
+
+
+def _padded(shapes, k_max: int) -> np.ndarray:
+    """Coefficients of ``shapes`` zero-padded to K = k_max, one row each."""
+    out = np.zeros((len(shapes), k_max + 1), dtype=complex)
+    for row, shape in zip(out, shapes):
+        row[: len(shape.coeffs)] = shape.coeffs
+    return out
 
 
 def shape_distance(s1: ShapeFunction, s2: ShapeFunction) -> float:
@@ -222,24 +306,5 @@ def shape_distance(s1: ShapeFunction, s2: ShapeFunction) -> float:
     every local extremum of its magnitude.  Zero iff the shapes coincide up
     to rotation and sign.
     """
-    k_max = max(s1.band_limit, s2.band_limit)
-    c1, c2 = (np.pad(np.asarray(s.coeffs, dtype=complex), (0, k_max - s.band_limit)) for s in (s1, s2))
-    c1[0], c2[0] = c1[0].real, c2[0].real
-    k = np.arange(k_max + 1)
-    weights = np.where(k == 0, 1.0, 2.0)  # mean of s^2 is weights @ |c|^2
-    scale = max(weights @ np.abs(c1) ** 2, weights @ np.abs(c2) ** 2)
-    if scale == 0.0:
-        return 0.0
-    # cross(delta) = Re sum_k w_k exp(1j*k*delta), sampled up to a factor 1/m
-    w = weights * np.conj(c1) * c2
-    m = 8 * (k_max + 1)
-    mag = np.abs(np.fft.irfft(np.conj(c1) * c2, m))
-    delta = 2.0 * np.pi * np.flatnonzero((mag >= np.roll(mag, 1)) & (mag >= np.roll(mag, -1))) / m
-    for _ in range(8):  # Newton steps on cross'(delta) = 0
-        z = w * np.exp(1j * np.outer(delta, k))
-        curvature = z.real @ (k * k)
-        delta -= np.divide(z.imag @ k, curvature, out=np.zeros_like(curvature), where=curvature != 0.0)
-    # the misfit as a coefficient difference stays accurate for near-equal shapes
-    rotated = c2 * np.exp(1j * np.outer(delta, k))
-    misfit = np.minimum(np.abs(c1 - rotated) ** 2 @ weights, np.abs(c1 + rotated) ** 2 @ weights)
-    return float(np.sqrt(np.min(misfit) / scale))
+    c1, c2 = _padded((s1, s2), max(s1.band_limit, s2.band_limit))
+    return float(_pair_distances(c1[None], c2[None])[0])

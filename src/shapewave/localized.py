@@ -6,7 +6,8 @@ side of its center (2*floor(mu) periods total, clipped to whole periods at
 the record boundaries) and is tapered by a raised cosine that falls to zero
 exactly at the segment edges.  Each tapered segment then goes through the
 whole-signal extraction with its own period count, producing one shape
-function per center.
+function per center; segments with equal period count, grid and band limit
+share one stacked rank-1 fit.
 """
 
 from __future__ import annotations
@@ -15,32 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ExtractionResult, PhaseFunction, ShapeFunction, Signal, validate_phase, validate_signal
+from .core import PhaseFunction, ShapeFunction, Signal, validate_phase, validate_signal
 from .errors import CenterOutOfRange, ShapewaveError, WindowTooShort
-from .extract import default_band_limit, extract_shape, shape_distance
+from .extract import _band_block, _fit_stack, _padded, _pair_distances, default_band_limit
 from .transform import default_grid_size
 
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
 
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Configuration of the sliding extraction windows.
-
-    ``mu`` is the half-width of each window in whole periods (the fractional
-    part is ignored when cutting, so a window spans ``2*floor(mu)`` periods);
-    ``centers`` are sample indices; ``taper`` disables the raised cosine when
-    False.
-    """
-
-    mu: float = 3.0
-    centers: tuple[int, ...] = ()
-    taper: bool = True
-
-    def __post_init__(self):
-        if self.mu < 1.0:
-            raise ValueError(f"mu must be >= 1, got {self.mu}")
+#: Centers cut and fitted per pass: bounds the stacked working set (each
+#: window holds a length-n phase-grid envelope until it is interpolated).
+WINDOW_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -71,7 +57,10 @@ def raised_cosine_taper(delta_theta, half_periods_left: int, half_periods_right:
     if half_periods_right is None:
         half_periods_right = half_periods_left
     delta_theta = np.asarray(delta_theta, dtype=float)
-    scale = np.where(delta_theta < 0, 2.0 * half_periods_left, 2.0 * half_periods_right)
+    # a side with no periods has no extent: only its edge, offset 0, is in
+    # it, and an infinite scale keeps the taper 1 there
+    left, right = (2.0 * half if half else np.inf for half in (half_periods_left, half_periods_right))
+    scale = np.where(delta_theta < 0, left, right)
     return 0.5 * (1.0 + np.cos(delta_theta / scale))
 
 
@@ -91,6 +80,8 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     -------
     (Signal, PhaseFunction, ndarray)
         The tapered segment, its phase restriction, and the taper values.
+        The segment's times and phases (and, untapered, its values) are
+        views of the record's arrays.
 
     Raises
     ------
@@ -115,7 +106,8 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
         )
     lo = theta_m - 2.0 * np.pi * periods_left
     hi = theta_m + 2.0 * np.pi * periods_right
-    idx = np.flatnonzero((theta >= lo - eps) & (theta <= hi + eps))
+    # the phase increases strictly, so the window is one run of samples
+    idx = slice(np.searchsorted(theta, lo - eps, "left"), np.searchsorted(theta, hi + eps, "right"))
     values = signal.values[idx]
     chi = raised_cosine_taper(theta[idx] - theta_m, periods_left, periods_right)
     if taper:
@@ -148,57 +140,101 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     sequence holds the shape distance between consecutive successful shapes.
     The envelope reported for each window is de-biased by the taper where the
     taper exceeds ``TAPER_RELIABLE`` and set to NaN elsewhere.
+
+    Windows that share their period count, grid and band limit are fitted as
+    one stack, ``WINDOW_CHUNK`` centers at a time.  Each window's shape and
+    envelope equal those of :func:`extract_shape` on its own segment, and
+    each drift equals :func:`shape_distance` of its pair.
     """
-    spec = WindowSpec(mu=mu, centers=tuple(int(c) for c in (centers if centers is not None else ())),
-                      taper=taper)
+    if mu < 1.0:
+        raise ValueError(f"mu must be >= 1, got {mu}")
+    if band_limit is not None and band_limit < 1:
+        raise ValueError("band limit must be at least 1")
     if centers is None:
         center_idx = default_centers(signal, phase, mu)
     else:
-        center_idx = np.asarray(sorted(spec.centers), dtype=int)
+        center_idx = np.asarray(sorted(int(c) for c in centers), dtype=int)
 
-    shapes: list[ShapeFunction | None] = []
-    envelopes: list[np.ndarray | None] = []
-    errors: list[str | None] = []
-    for center in center_idx:
-        try:
-            segment, segment_phase, chi = window_segment(signal, phase, int(center), mu, taper=taper)
-            k = band_limit
-            feasible = default_band_limit(
-                default_grid_size(segment.n_samples, segment_phase.l_theta),
-                segment_phase.l_theta,
-            )
-            k = feasible if k is None else min(k, feasible)
-            result: ExtractionResult = extract_shape(segment, segment_phase, band_limit=k)
-            env = result.envelope.values_time.copy()
-            if taper:
-                reliable = chi > TAPER_RELIABLE
-                env[reliable] = env[reliable] / chi[reliable]
-                env[~reliable] = np.nan
-            shapes.append(result.shape)
-            envelopes.append(env)
-            errors.append(None)
-        except ShapewaveError as exc:
-            shapes.append(None)
-            envelopes.append(None)
-            errors.append(f"{type(exc).__name__}: {exc}")
+    count = len(center_idx)
+    shapes: list[ShapeFunction | None] = [None] * count
+    envelopes: list[np.ndarray | None] = [None] * count
+    errors: list[str | None] = [None] * count
+    for start in range(0, count, WINDOW_CHUNK):
+        groups: dict[tuple, list] = {}
+        for i in range(start, min(start + WINDOW_CHUNK, count)):
+            try:
+                segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu,
+                                                             taper=taper)
+                n = default_grid_size(segment.n_samples, segment_phase.l_theta)
+                k = default_band_limit(n, segment_phase.l_theta)
+                k = k if band_limit is None else min(band_limit, k)
+                _, block = _band_block(segment, segment_phase, n, k)
+            except ShapewaveError as exc:
+                errors[i] = _describe(exc)
+                continue
+            groups.setdefault((n,) + block.shape, []).append((i, segment, segment_phase, chi, block))
+        for (n, *_), members in groups.items():
+            for i, shape, env, error in _fit_windows(members, n, taper):
+                shapes[i], envelopes[i], errors[i] = shape, env, error
 
     # an out-of-range center has no time; its window failed above
     center_times = np.full(len(center_idx), np.nan)
     inside = (center_idx >= 0) & (center_idx < signal.n_samples)
     center_times[inside] = signal.times[center_idx[inside]]
-    drift = np.zeros(len(center_idx))
-    for i in range(len(center_idx)):
-        if i == 0:
-            drift[i] = 0.0 if shapes[i] is not None else np.nan
-        elif shapes[i] is None or shapes[i - 1] is None:
-            drift[i] = np.nan
-        else:
-            drift[i] = shape_distance(shapes[i - 1], shapes[i])
     return ShapeTrack(
         center_indices=center_idx,
         center_times=center_times,
         shapes=shapes,
-        drift=drift,
+        drift=_drift(shapes),
         errors=errors,
         envelopes=envelopes,
     )
+
+
+def _describe(exc: ShapewaveError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _fit_windows(members, n: int, taper: bool) -> list[tuple]:
+    """Fit windows with equal band blocks as one stack.
+
+    ``members`` are (index, segment, segment phase, taper, band block)
+    tuples.  Returns (index, shape, envelope, error text) per window.  A
+    failure of the stack is attributed by fitting its windows one by one, so
+    one bad window never costs its neighbours their fit.
+    """
+    records = [(segment, segment_phase) for _, segment, segment_phase, _, _ in members]
+    try:
+        _, coeffs, _, values_time = _fit_stack(records, np.stack([m[-1] for m in members]), n)
+    except ShapewaveError as exc:
+        if len(members) == 1:
+            return [(members[0][0], None, None, _describe(exc))]
+        return [out for member in members for out in _fit_windows([member], n, taper)]
+    outcomes = []
+    for (i, _, _, chi, _), c, env in zip(members, coeffs, values_time):
+        if taper:
+            reliable = chi > TAPER_RELIABLE
+            np.divide(env, chi, out=env, where=reliable)
+            env[~reliable] = np.nan
+        outcomes.append((i, ShapeFunction(coeffs=c), env, None))
+    return outcomes
+
+
+def _drift(shapes) -> np.ndarray:
+    """Shape distance of each window to its predecessor: 0 first, NaN beside a failure.
+
+    Pairs are compared in one batch per common band limit, so each value is
+    that of :func:`shape_distance` on the pair.
+    """
+    drift = np.full(len(shapes), np.nan)
+    if shapes and shapes[0] is not None:
+        drift[0] = 0.0
+    by_band_limit: dict[int, list[int]] = {}
+    for i in range(1, len(shapes)):
+        if shapes[i - 1] is not None and shapes[i] is not None:
+            k_max = max(shapes[i - 1].band_limit, shapes[i].band_limit)
+            by_band_limit.setdefault(k_max, []).append(i)
+    for k_max, idx in by_band_limit.items():
+        drift[idx] = _pair_distances(_padded([shapes[i - 1] for i in idx], k_max),
+                                     _padded([shapes[i] for i in idx], k_max))
+    return drift

@@ -41,11 +41,6 @@ class DemodulatedBand:
     values: np.ndarray
 
 
-def spectrum_frequencies(n: int) -> np.ndarray:
-    """Frequency index of each spectrum entry: -n/2 .. n/2-1."""
-    return np.arange(-(n // 2), n // 2)
-
-
 def forward_spectrum(values) -> np.ndarray:
     """Discrete spectrum ``sum_j values[j] * exp(-2j*pi*omega*j/n)``.
 

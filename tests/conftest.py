@@ -6,6 +6,11 @@ import shapewave as sw
 TAU_GRID = 2.0 * np.pi * np.arange(1024) / 1024
 
 
+def spectrum_frequencies(n: int) -> np.ndarray:
+    """Frequency index of each ``forward_spectrum`` entry: -n/2 .. n/2-1."""
+    return np.arange(-(n // 2), n // 2)
+
+
 @pytest.fixture(scope="session")
 def example1():
     """Clean first benchmark: (signal, exact theta, exact shape, phase)."""

@@ -7,7 +7,7 @@ import shapewave as sw
 from shapewave.extract import BandMatrix, coefficients_from_right_vector
 from shapewave.transform import DemodulatedBand
 
-from conftest import TAU_GRID, make_tone
+from conftest import TAU_GRID, make_tone, spectrum_frequencies
 
 
 def als_rank_one(entries, seed=0, tol=1e-12, max_iter=500):
@@ -203,7 +203,7 @@ class TestExtractShape:
     def test_envelope_band_limit(self, example1_result):
         env = example1_result.envelope.values_phase
         spec = sw.forward_spectrum(env)
-        omega = sw.spectrum_frequencies(len(env))
+        omega = spectrum_frequencies(len(env))
         outside = np.abs(spec[np.abs(omega) >= example1_result.l_theta / 2])
         assert np.max(outside) <= 1e-8 * np.max(np.abs(spec))
         assert np.mean(env) >= 0.0

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import shapewave as sw
+from shapewave.localized import TAPER_RELIABLE, _drift
 
 from conftest import TAU_GRID
 
@@ -29,6 +34,14 @@ class TestTaper:
     def test_asymmetric_edges(self):
         chi = sw.raised_cosine_taper(np.array([-2.0 * np.pi, 4.0 * np.pi]), 1, 2)
         assert np.max(np.abs(chi)) <= 1e-12
+
+    def test_side_without_periods_keeps_center(self):
+        # a window ending at its center has no right side: offset 0 is its
+        # edge and its center at once, and the taper stays 1 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chi = sw.raised_cosine_taper(np.array([-2.0 * np.pi, 0.0]), 1, 0)
+        np.testing.assert_array_equal(chi, [0.0, 1.0])
 
 
 class TestWindowSegment:
@@ -61,9 +74,124 @@ class TestWindowSegment:
         segment, seg_phase, _ = sw.window_segment(signal, phase, 128, mu=3)
         assert seg_phase.l_theta == 5
 
+    @pytest.mark.parametrize("center", [300, 600, 1111, 2048, 3500, 3700])
+    def test_slice_matches_phase_mask(self, center):
+        # non-uniform times and phase: the window is still the run of samples
+        # whose phase lies within the edges
+        rng = np.random.default_rng(5)
+        t = np.sort(rng.uniform(0.0, 1.0, 4096))
+        t[0], t[-1] = 0.0, 1.0
+        theta = 2.0 * np.pi * 16 * t + 0.8 * np.sin(2.0 * np.pi * t)
+        signal = sw.validate_signal(t, np.cos(theta + 0.3 * np.sin(theta)))
+        phase = sw.exact_phase_from_samples(signal, theta)
+        segment, seg_phase, chi = sw.window_segment(signal, phase, center, mu=3)
+
+        eps = 1e-9
+        periods_left = min(3, int((theta[center] - theta[0]) / (2.0 * np.pi) + eps))
+        periods_right = min(3, int((theta[-1] - theta[center]) / (2.0 * np.pi) + eps))
+        lo = theta[center] - 2.0 * np.pi * periods_left
+        hi = theta[center] + 2.0 * np.pi * periods_right
+        idx = np.flatnonzero((theta >= lo - eps) & (theta <= hi + eps))
+        mask_chi = sw.raised_cosine_taper(theta[idx] - theta[center], periods_left, periods_right)
+        np.testing.assert_array_equal(segment.times, t[idx])
+        np.testing.assert_array_equal(segment.values, signal.values[idx] * mask_chi)
+        np.testing.assert_array_equal(seg_phase.phases, theta[idx])
+        np.testing.assert_array_equal(chi, mask_chi)
+
     def test_mu_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            sw.WindowSpec(mu=0.5)
+        signal, phase = linear_phase_signal()
+        with pytest.raises(ValueError, match="mu must be >= 1"):
+            sw.extract_shape_track(signal, phase, centers=[512], mu=0.5)
+
+
+def noisy_example1(example1, seed=4):
+    signal, theta, _, _ = example1
+    values = signal.values + 0.1 * np.random.default_rng(seed).standard_normal(signal.n_samples)
+    noisy = sw.validate_signal(signal.times, values)
+    return noisy, sw.exact_phase_from_samples(noisy, theta)
+
+
+def per_window(signal, phase, center, mu):
+    """One window through window_segment and extract_shape, de-biased like the tracker.
+
+    Returns (coefficients, envelope, error text), with None where not reached.
+    """
+    try:
+        segment, seg_phase, chi = sw.window_segment(signal, phase, center, mu)
+        n = sw.default_grid_size(segment.n_samples, seg_phase.l_theta)
+        result = sw.extract_shape(segment, seg_phase, band_limit=sw.default_band_limit(n, seg_phase.l_theta))
+    except sw.ShapewaveError as exc:
+        return None, None, f"{type(exc).__name__}: {exc}"
+    env = result.envelope.values_time.copy()
+    reliable = chi > TAPER_RELIABLE
+    env[reliable] = env[reliable] / chi[reliable]
+    env[~reliable] = np.nan
+    return result.shape.coeffs, env, None
+
+
+def assert_track_matches_per_window(signal, phase, track, mu):
+    for i, center in enumerate(track.center_indices):
+        coeffs, env, error = per_window(signal, phase, int(center), mu)
+        assert track.errors[i] == error
+        if error is None:
+            np.testing.assert_array_equal(track.shapes[i].coeffs, coeffs)
+            np.testing.assert_array_equal(track.envelopes[i], env)
+        else:
+            assert track.shapes[i] is None and track.envelopes[i] is None
+
+
+class TestBatchedTrack:
+    def test_matches_per_window_extraction(self, example1):
+        signal, phase = noisy_example1(example1)
+        centers = [150, 300, 500, 700, 1500, 2048, 3600, 3800]
+        track = sw.extract_shape_track(signal, phase, centers=centers, mu=3)
+        # the centers give one failed window and stacks of 4, 5 and 6 periods
+        periods = [sw.window_segment(signal, phase, c, mu=3)[1].l_theta for c in centers[1:]]
+        assert periods == [4, 4, 5, 6, 6, 5, 4]
+        assert track.errors[0] == "TooFewPeriods: need at least 4 periods, got 3"
+        assert_track_matches_per_window(signal, phase, track, mu=3)
+
+    def test_default_track_matches_per_window_extraction(self, example1):
+        signal, phase = noisy_example1(example1, seed=9)
+        track = sw.extract_shape_track(signal, phase, mu=3)
+        assert len(track.errors) > 2 * sw.localized.WINDOW_CHUNK
+        assert_track_matches_per_window(signal, phase, track, mu=3)
+
+    def test_zero_window_fails_alone(self, example1):
+        signal, phase = noisy_example1(example1)
+        centers = [1800, 2048, 2300]
+        segment, _, _ = sw.window_segment(signal, phase, 2048, mu=3)
+        lo, hi = np.searchsorted(signal.times, segment.times[[0, -1]])
+        values = signal.values.copy()
+        values[lo : hi + 1] = 0.0
+        zeroed = sw.validate_signal(signal.times, values)
+        # all three windows share one stack
+        assert len({sw.window_segment(zeroed, phase, c, mu=3)[1].l_theta for c in centers}) == 1
+        track = sw.extract_shape_track(zeroed, phase, centers=centers, mu=3)
+        assert track.errors == [None, "DegenerateInput: band matrix is identically zero", None]
+        assert_track_matches_per_window(zeroed, phase, track, mu=3)
+
+    def test_drift_matches_shape_distance(self, example1):
+        signal, phase = noisy_example1(example1)
+        track = sw.extract_shape_track(signal, phase, mu=3)
+        assert track.drift[0] == 0.0
+        for i in range(1, len(track.shapes)):
+            expected = sw.shape_distance(track.shapes[i - 1], track.shapes[i])
+            assert abs(track.drift[i] - expected) <= 1e-15
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(band_limits=st.lists(st.integers(1, 24), min_size=2, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_pair_distance_matches_one_pair(self, band_limits, seed):
+        # neighbours differ in band limit, and the batch mixes pair band limits
+        assume(all(a != b for a, b in zip(band_limits, band_limits[1:])))
+        rng = np.random.default_rng(seed)
+        shapes = [sw.ShapeFunction(coeffs=(rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1))
+                                   / np.arange(1, k + 2))
+                  for k in band_limits]
+        drift = _drift(shapes)
+        for i in range(1, len(shapes)):
+            assert abs(drift[i] - sw.shape_distance(shapes[i - 1], shapes[i])) <= 1e-15
 
 
 class TestExtractShapeTrack:
@@ -123,6 +251,15 @@ class TestExtractShapeTrack:
 
         short = sw.extract_shape_track(signal, phase, centers=[100, 2048], mu=1)
         assert short.errors[0] is not None and "WindowTooShort" in short.errors[0]
+
+    def test_window_ending_at_record_end(self, example1):
+        # center 3950 lies within one period of the end: its window has no
+        # right side, and its center keeps full weight
+        signal, _, _, phase = example1
+        track = sw.extract_shape_track(signal, phase, centers=[3950], mu=5)
+        assert track.errors == [None]
+        mirrored = sw.extract_shape_track(signal, phase, centers=[0], mu=5)
+        assert mirrored.errors == [None]
 
     def test_center_out_of_range_recorded_not_raised(self, example1):
         signal, _, _, phase = example1

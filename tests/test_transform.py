@@ -4,7 +4,7 @@ import pytest
 import shapewave as sw
 from shapewave import transform
 
-from conftest import make_tone
+from conftest import make_tone, spectrum_frequencies
 
 
 def naive_dft(values):
@@ -27,7 +27,7 @@ class TestForwardSpectrum:
         n = 64
         x = np.cos(2.0 * np.pi * 5.0 * np.arange(n) / n)
         spec = sw.forward_spectrum(x)
-        omega = sw.spectrum_frequencies(n)
+        omega = spectrum_frequencies(n)
         assert abs(spec[omega == 5][0] - n / 2) < 1e-9 * n
         assert abs(spec[omega == -5][0] - n / 2) < 1e-9 * n
         rest = np.abs(spec[(omega != 5) & (omega != -5)])
@@ -61,14 +61,14 @@ class TestResampleToPhase:
         phase = sw.exact_phase_from_samples(signal, 40.0 * np.pi * t)
         pds = sw.resample_to_phase(signal, phase, 256)
         np.testing.assert_allclose(pds.values, 3.25, atol=1e-12)
-        omega = sw.spectrum_frequencies(256)
+        omega = spectrum_frequencies(256)
         off_dc = np.abs(pds.spectrum[omega != 0])
         assert np.max(off_dc) < 1e-9 * np.abs(pds.spectrum[omega == 0][0])
 
     def test_pure_tone_resampling(self):
         signal, phase = make_tone(20)
         pds = sw.resample_to_phase(signal, phase, 1024)
-        omega = sw.spectrum_frequencies(1024)
+        omega = spectrum_frequencies(1024)
         peak = np.abs(pds.spectrum[omega == 20][0])
         assert abs(peak - 512.0) <= 0.005 * 512.0
         others = np.abs(pds.spectrum[(omega != 20) & (omega != -20)])
@@ -77,7 +77,7 @@ class TestResampleToPhase:
     def test_example1_band_energy_concentration(self, example1):
         signal, _, _, phase = example1
         pds = sw.resample_to_phase(signal, phase, 4096)
-        omega = sw.spectrum_frequencies(4096)
+        omega = spectrum_frequencies(4096)
         in_band = np.zeros(len(omega), dtype=bool)
         for m in range(0, 4096 // 40 + 1):
             in_band |= np.abs(np.abs(omega) - 20 * m) <= 9
@@ -94,7 +94,7 @@ class TestResampleToPhase:
         pds = sw.resample_to_phase(signal, phase, 1024)
         n = pds.grid.n
         spec = pds.spectrum
-        omega = sw.spectrum_frequencies(n)
+        omega = spectrum_frequencies(n)
         scale = np.max(np.abs(spec))
         for w in range(1, n // 2):
             lhs = spec[omega == -w][0]
@@ -208,7 +208,7 @@ class TestDemodulatedBands:
         pds = sw.resample_to_phase(signal, phase, 1024)
         n, l_theta = 1024, phase.l_theta
         k_max = sw.default_band_limit(n, l_theta)
-        omega = sw.spectrum_frequencies(n)
+        omega = spectrum_frequencies(n)
         energy = np.abs(pds.spectrum) ** 2
         total = np.sum(energy)
         in_any = np.zeros(n, dtype=bool)
