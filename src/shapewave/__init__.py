@@ -57,7 +57,6 @@ from .errors import (
 from .extract import (
     BandMatrix,
     Rank1Fit,
-    assemble_band_matrix,
     default_band_limit,
     extract_shape,
     rank_one_fit,
@@ -92,7 +91,7 @@ __all__ = [
     "NonConvergence", "NonFiniteState", "NonFiniteValue", "NonIncreasingTimes",
     "NonMonotoneEstimate", "NonMonotonePhase", "NotNearIntegerPeriods",
     "ParseError", "ShapewaveError", "TooFewPeriods", "TooShort", "WindowTooShort",
-    "BandMatrix", "Rank1Fit", "assemble_band_matrix", "default_band_limit",
+    "BandMatrix", "Rank1Fit", "default_band_limit",
     "extract_shape", "rank_one_fit", "shape_distance",
     "ShapeTrack", "extract_shape_track", "raised_cosine_taper",
     "window_segment",

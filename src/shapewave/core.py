@@ -8,7 +8,8 @@ whole pipeline and the canonical normalization of the rank-1 factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -99,9 +100,7 @@ class ShapeFunction:
     """
 
     coeffs: np.ndarray
-    normalization: dict = field(
-        default_factory=lambda: {"peak_abs": 1.0, "sign": SIGN_CONVENTION}
-    )
+    normalization: ClassVar[dict] = {"peak_abs": 1.0, "sign": SIGN_CONVENTION}
 
     @property
     def band_limit(self) -> int:

@@ -127,16 +127,16 @@ def integrate_duffing(params: DuffingParams):
 
 
 def gen_duffing(params: DuffingParams | None = None, noise: NoiseSpec = NoiseSpec(),
-                n_samples: int | None = 8192) -> Signal:
+                n_samples: int = 8192) -> Signal:
     """Integrate the oscillator and return the (optionally noisy) displacement.
 
-    The dense trajectory is thinned to about ``n_samples`` points; pass
-    ``n_samples=None`` to keep every integration step.
+    The dense trajectory is thinned to about ``n_samples`` points, or kept
+    whole if it has no more than that.
     """
     if params is None:
         params = DuffingParams()
     times, u, _ = integrate_duffing(params)
-    if n_samples is not None and n_samples < len(times):
+    if n_samples < len(times):
         idx = np.unique(np.round(np.linspace(0, len(times) - 1, n_samples)).astype(int))
         times, u = times[idx], u[idx]
     if noise.sigma > 0.0:

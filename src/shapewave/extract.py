@@ -26,9 +26,8 @@ from .core import (
     evaluate_shape,
     normalize_rank1_factors,
 )
-from .errors import DegenerateInput, MismatchedLengths, NonConvergence, NonFiniteValue
+from .errors import DegenerateInput, NonConvergence, NonFiniteValue
 from .transform import (
-    DemodulatedBand,
     _band_samples,
     band_indices,
     default_grid_size,
@@ -45,10 +44,6 @@ class BandMatrix:
     """Real m x (2K+1) matrix: m band samples, columns [Re g_0, Re g_1..Re g_K, Im g_1..Im g_K]."""
 
     entries: np.ndarray
-
-    @property
-    def band_limit(self) -> int:
-        return (self.entries.shape[-1] - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -67,26 +62,10 @@ class Rank1Fit:
     objective: float
 
 
-def assemble_band_matrix(bands: list[DemodulatedBand]) -> BandMatrix:
-    """Stack demodulated bands k = 0..K into the rank-1 fitting matrix.
-
-    Band 0 contributes only its real part (its imaginary residue carries no
-    model information); every higher band contributes a real and an
-    imaginary column.
-    """
-    if not bands:
-        raise MismatchedLengths("need at least band 0")
-    lengths = {len(b.values) for b in bands}
-    if len(lengths) != 1:
-        raise MismatchedLengths(f"bands disagree on grid size: {sorted(lengths)}")
-    ordered = sorted(bands, key=lambda b: b.k)
-    if [b.k for b in ordered] != list(range(len(bands))):
-        raise MismatchedLengths("bands must cover k = 0..K exactly once")
-    return _band_matrix(np.array([b.values for b in ordered]))
-
-
 def _band_matrix(bands: np.ndarray) -> BandMatrix:
-    """Rows k = 0..K of band samples as columns [Re g_0..Re g_K, Im g_1..Im g_K], per stacked block."""
+    """Rows k = 0..K of band samples as columns [Re g_0..Re g_K, Im g_1..Im g_K], per stacked block.
+
+    Band 0's imaginary residue carries no model information."""
     entries = np.concatenate((bands.real, bands[..., 1:, :].imag), axis=-2).swapaxes(-1, -2)
     if not np.all(np.isfinite(entries)):
         raise NonFiniteValue("band matrix contains non-finite entries")
@@ -123,11 +102,11 @@ def rank_one_fit(matrix: BandMatrix) -> Rank1Fit:
     )
 
 
-def default_band_limit(n: int, l_theta: int, cap: int = MAX_DEFAULT_BANDS) -> int:
-    """Largest Nyquist-feasible band count, capped at ``cap``."""
+def default_band_limit(n: int, l_theta: int) -> int:
+    """Largest Nyquist-feasible band count, capped at ``MAX_DEFAULT_BANDS``."""
     half_hi = (l_theta + 1) // 2
     feasible = (n // 2 - half_hi) // l_theta
-    return max(1, min(cap, feasible))
+    return max(1, min(MAX_DEFAULT_BANDS, feasible))
 
 
 def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
@@ -188,8 +167,7 @@ def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
     c_raw *= np.exp(-1j * np.arange(blocks.shape[-2]) * origins[:, None])
     values_phase, coeffs = normalize_rank1_factors(left, c_raw, fit.sigma1)
 
-    values_time = [interp_phase_to_time(v, phase, signal.times)
-                   for v, (signal, phase) in zip(values_phase, records)]
+    values_time = [interp_phase_to_time(v, phase) for v, (_, phase) in zip(values_phase, records)]
     return fit, coeffs, values_phase, values_time
 
 

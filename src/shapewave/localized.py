@@ -64,8 +64,7 @@ def raised_cosine_taper(delta_theta, half_periods_left: int, half_periods_right:
     return 0.5 * (1.0 + np.cos(delta_theta / scale))
 
 
-def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float = 3.0,
-                   taper: bool = True):
+def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float = 3.0):
     """Cut and taper the phase-localized segment around sample ``center``.
 
     Parameters
@@ -80,8 +79,7 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     -------
     (Signal, PhaseFunction, ndarray)
         The tapered segment, its phase restriction, and the taper values.
-        The segment's times and phases (and, untapered, its values) are
-        views of the record's arrays.
+        The segment's times and phases are views of the record's arrays.
 
     Raises
     ------
@@ -108,11 +106,8 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     hi = theta_m + 2.0 * np.pi * periods_right
     # the phase increases strictly, so the window is one run of samples
     idx = slice(np.searchsorted(theta, lo - eps, "left"), np.searchsorted(theta, hi + eps, "right"))
-    values = signal.values[idx]
     chi = raised_cosine_taper(theta[idx] - theta_m, periods_left, periods_right)
-    if taper:
-        values = values * chi
-    segment = validate_signal(signal.times[idx], values)
+    segment = validate_signal(signal.times[idx], signal.values[idx] * chi)
     segment_phase = validate_phase(segment, theta[idx])
     return segment, segment_phase, chi
 
@@ -133,7 +128,7 @@ def default_centers(signal: Signal, phase: PhaseFunction, mu: float = 3.0) -> np
 
 
 def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: float = 3.0,
-                        band_limit: int | None = None, taper: bool = True) -> ShapeTrack:
+                        band_limit: int | None = None) -> ShapeTrack:
     """Extract one shape function per window center.
 
     Per-center failures are recorded and the track continues; the drift
@@ -163,8 +158,7 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
         groups: dict[tuple, list] = {}
         for i in range(start, min(start + WINDOW_CHUNK, count)):
             try:
-                segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu,
-                                                             taper=taper)
+                segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu)
                 n = default_grid_size(segment.n_samples, segment_phase.l_theta)
                 k = default_band_limit(n, segment_phase.l_theta)
                 k = k if band_limit is None else min(band_limit, k)
@@ -174,7 +168,7 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
                 continue
             groups.setdefault((n,) + block.shape, []).append((i, segment, segment_phase, chi, block))
         for (n, *_), members in groups.items():
-            for i, shape, env, error in _fit_windows(members, n, taper):
+            for i, shape, env, error in _fit_windows(members, n):
                 shapes[i], envelopes[i], errors[i] = shape, env, error
 
     # an out-of-range center has no time; its window failed above
@@ -195,7 +189,7 @@ def _describe(exc: ShapewaveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fit_windows(members, n: int, taper: bool) -> list[tuple]:
+def _fit_windows(members, n: int) -> list[tuple]:
     """Fit windows with equal band blocks as one stack.
 
     ``members`` are (index, segment, segment phase, taper, band block)
@@ -209,13 +203,12 @@ def _fit_windows(members, n: int, taper: bool) -> list[tuple]:
     except ShapewaveError as exc:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]
-        return [out for member in members for out in _fit_windows([member], n, taper)]
+        return [out for member in members for out in _fit_windows([member], n)]
     outcomes = []
     for (i, _, _, chi, _), c, env in zip(members, coeffs, values_time):
-        if taper:
-            reliable = chi > TAPER_RELIABLE
-            np.divide(env, chi, out=env, where=reliable)
-            env[~reliable] = np.nan
+        reliable = chi > TAPER_RELIABLE
+        np.divide(env, chi, out=env, where=reliable)
+        env[~reliable] = np.nan
         outcomes.append((i, ShapeFunction(coeffs=c), env, None))
     return outcomes
 

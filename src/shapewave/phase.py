@@ -21,37 +21,36 @@ from .transform import natural_cubic_spline
 #: Required magnitude margin of the dominant spectral peak over the runner-up.
 PEAK_MARGIN = 1.05
 
+#: Half-width of the band isolated around the fundamental, as a fraction of it.
+BANDWIDTH = 0.5
+
 
 @dataclass(frozen=True)
 class PhaseEstimateConfig:
     """Tuning knobs of the phase estimator.
 
     ``fundamental_hint`` pins the fundamental (in cycles over the record)
-    instead of searching for it; ``bandwidth`` is the isolated band's
-    half-width as a fraction of the fundamental; ``smoothing_cutoff`` is the
-    spectral cutoff applied to the unwrapped-phase deviation, as a fraction
-    of the fundamental.
+    instead of searching for it; ``smoothing_cutoff`` is the spectral cutoff
+    applied to the unwrapped-phase deviation, as a fraction of the
+    fundamental.
     """
 
     fundamental_hint: float | None = None
-    bandwidth: float = 0.5
     smoothing_cutoff: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.bandwidth < 1.0:
-            raise ValueError(f"bandwidth must be in (0, 1), got {self.bandwidth}")
         if not 0.0 < self.smoothing_cutoff <= 0.5:
             raise ValueError(f"smoothing_cutoff must be in (0, 0.5], got {self.smoothing_cutoff}")
 
 
-def _dominant_peak(magnitude: np.ndarray, bandwidth: float) -> int:
+def _dominant_peak(magnitude: np.ndarray) -> int:
     """Index of the dominant local maximum of the one-sided spectrum.
 
     Bins below ``MIN_PERIODS`` cycles per record are not candidates: no
     valid phase function has fewer whole periods than that, and the region
     below half a plausible fundamental belongs to the envelope.  Local
     maxima inside the strongest peak's own isolation band (within
-    ``bandwidth`` of it) are sidebands of the same oscillation, not rival
+    ``BANDWIDTH`` of it) are sidebands of the same oscillation, not rival
     fundamentals; raises AmbiguousFundamental if any peak *outside* that
     band comes within ``PEAK_MARGIN`` of the strongest one.
     """
@@ -65,11 +64,11 @@ def _dominant_peak(magnitude: np.ndarray, bandwidth: float) -> int:
     best = int(peaks[np.argmax(mag[peaks])])
 
     def band_power(center: int) -> float:
-        lo = max(1, int(np.ceil(center * (1.0 - bandwidth))))
-        hi = min(len(mag) - 1, int(np.floor(center * (1.0 + bandwidth))))
+        lo = max(1, int(np.ceil(center * (1.0 - BANDWIDTH))))
+        hi = min(len(mag) - 1, int(np.floor(center * (1.0 + BANDWIDTH))))
         return float(np.mean(mag[lo : hi + 1] ** 2))
 
-    rivals = peaks[np.abs(peaks - best) > bandwidth * best]
+    rivals = peaks[np.abs(peaks - best) > BANDWIDTH * best]
     if len(rivals):
         rival = int(rivals[np.argmax([band_power(int(r)) for r in rivals])])
         if band_power(best) < PEAK_MARGIN * band_power(rival):
@@ -123,10 +122,10 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
         if not 1 <= fundamental < len(magnitude):
             raise ValueError(f"fundamental hint {config.fundamental_hint} out of range")
     else:
-        fundamental = _dominant_peak(magnitude, config.bandwidth)
+        fundamental = _dominant_peak(magnitude)
 
     def unwrap_band(center: int) -> np.ndarray:
-        half_width = config.bandwidth * center
+        half_width = BANDWIDTH * center
         lo = max(1, int(np.ceil(center - half_width)))
         hi = min(len(magnitude) - 1, int(np.floor(center + half_width)))
         one_sided = np.zeros(n, dtype=complex)

@@ -97,7 +97,7 @@ def default_grid_size(n_samples: int, l_theta: int) -> int:
     return 1 << int(max(n_samples, 8 * l_theta) - 1).bit_length()
 
 
-def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int | None = None) -> PhaseDomainSignal:
+def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDomainSignal:
     """Resample a signal onto the uniform normalized-phase grid.
 
     A natural cubic spline through ``(phi(t_l), f(t_l))`` is evaluated at
@@ -109,8 +109,6 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int | None = None
     GridTooCoarse
         If ``n < 4 * l_theta``.
     """
-    if n is None:
-        n = default_grid_size(signal.n_samples, phase.l_theta)
     if n & (n - 1):
         raise ValueError(f"grid size must be a power of two, got {n}")
     if n < 4 * phase.l_theta:
@@ -185,17 +183,14 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int,
     return DemodulatedBand(k=k, values=_band_samples(pds, [k], pds.grid.n, trim_unpaired)[0])
 
 
-def interp_phase_to_time(values_phase, phase: PhaseFunction, times) -> np.ndarray:
-    """Interpolate phase-grid samples back onto the original time grid.
+def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
+    """Interpolate phase-grid samples back onto the time grid ``phase`` is aligned with.
 
     The phase grid is closed periodically at phi = 1 (every quantity carried
     on it is one record-period of a periodic function), then a natural cubic
     spline is evaluated at ``phi(t_l)``.
     """
     values_phase = np.asarray(values_phase, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if times.shape != phase.phases.shape:
-        raise ValueError("times must be the grid the phase function is aligned with")
     n = len(values_phase)
     nodes = np.arange(n + 1) / n
     return natural_cubic_spline(nodes, np.append(values_phase, values_phase[0]), phase.normalized())

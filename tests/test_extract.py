@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import shapewave as sw
-from shapewave.extract import BandMatrix, coefficients_from_right_vector
-from shapewave.transform import DemodulatedBand
+from shapewave.extract import BandMatrix, _band_matrix, coefficients_from_right_vector
 
 from conftest import TAU_GRID, make_tone, spectrum_frequencies
 
@@ -40,8 +39,9 @@ def n_row_fit(signal, phase, band_limit, grid_size=None, zero_dc=False):
         spectrum = pds.spectrum.copy()
         spectrum[lo + n // 2 : hi + n // 2 + 1] = 0.0
         pds = dataclasses.replace(pds, spectrum=spectrum)
-    bands = [sw.extract_demodulated_band(pds, k, trim_unpaired=True) for k in range(band_limit + 1)]
-    fit = sw.rank_one_fit(sw.assemble_band_matrix(bands))
+    g = np.array([sw.extract_demodulated_band(pds, k, trim_unpaired=True).values
+                  for k in range(band_limit + 1)])
+    fit = sw.rank_one_fit(BandMatrix(entries=np.column_stack((g.real.T, g[1:].imag.T))))
     c_raw = coefficients_from_right_vector(fit.right)
     c_raw *= np.exp(-1j * np.arange(band_limit + 1) * phase.phase_origin)
     values_phase, coeffs = sw.normalize_rank1_factors(fit.left, c_raw, fit.sigma1)
@@ -58,14 +58,14 @@ def odd_periods_record():
     return signal, sw.exact_phase_from_samples(signal, theta)
 
 
-def make_bands(arrays):
-    return [DemodulatedBand(k=i, values=np.asarray(a, dtype=complex)) for i, a in enumerate(arrays)]
+def band_matrix(arrays):
+    return _band_matrix(np.array(arrays, dtype=complex))
 
 
 class TestAssembleBandMatrix:
     def test_real_imag_column_order(self):
         ones = np.ones(4)
-        matrix = sw.assemble_band_matrix(make_bands([ones, 1j * ones]))
+        matrix = band_matrix([ones, 1j * ones])
         np.testing.assert_allclose(matrix.entries[:, 0], 1.0)
         np.testing.assert_allclose(matrix.entries[:, 1], 0.0)
         np.testing.assert_allclose(matrix.entries[:, 2], 1.0)
@@ -75,17 +75,13 @@ class TestAssembleBandMatrix:
         g0 = rng.standard_normal(8) + 0j
         g1 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         g2 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        matrix = sw.assemble_band_matrix(make_bands([g0, g1, g2]))
+        matrix = band_matrix([g0, g1, g2])
         assert matrix.entries.shape == (8, 5)
         np.testing.assert_allclose(matrix.entries[:, 0], g0.real)
         np.testing.assert_allclose(matrix.entries[:, 1], g1.real)
         np.testing.assert_allclose(matrix.entries[:, 2], g2.real)
         np.testing.assert_allclose(matrix.entries[:, 3], g1.imag)
         np.testing.assert_allclose(matrix.entries[:, 4], g2.imag)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(sw.MismatchedLengths):
-            sw.assemble_band_matrix(make_bands([np.ones(8), np.ones(4)]))
 
     def test_model_signal_gives_rank_one(self):
         n = 1024
@@ -99,8 +95,7 @@ class TestAssembleBandMatrix:
             spectrum=sw.forward_spectrum(values),
             l_theta=l_theta,
         )
-        bands = [sw.extract_demodulated_band(pds, k) for k in range(4)]
-        fit = sw.rank_one_fit(sw.assemble_band_matrix(bands))
+        fit = sw.rank_one_fit(band_matrix([sw.extract_demodulated_band(pds, k).values for k in range(4)]))
         assert fit.singular_values[1] <= 1e-6 * fit.singular_values[0]
 
 

@@ -85,8 +85,6 @@ class TestEstimatePhase:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            sw.PhaseEstimateConfig(bandwidth=1.5)
-        with pytest.raises(ValueError):
             sw.PhaseEstimateConfig(smoothing_cutoff=0.9)
 
 
