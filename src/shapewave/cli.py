@@ -19,6 +19,7 @@ from .core import SHAPE_GRID, validate_signal
 from .datasets import (
     DuffingParams,
     NoiseSpec,
+    _check_times,
     gen_duffing,
     gen_example1,
     gen_morphing_shape,
@@ -36,10 +37,6 @@ from .localized import extract_shape_track
 from .phase import PhaseEstimateConfig, estimate_phase, exact_phase_from_samples
 
 MORPH_TARGET_WOBBLE = 0.5
-
-
-def _env_seed() -> int:
-    return int(os.environ.get("SHAPEWAVE_SEED", "0"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,15 +109,18 @@ def _load_phase(args, parser, signal):
         parser.error(f"--lambda: {exc}")
     if args.phase is not None:
         _require_file(parser, args.phase)
-        return exact_phase_from_samples(signal, load_phase_csv(args.phase))
+        times, phases = load_phase_csv(args.phase)
+        phase = exact_phase_from_samples(signal, phases)
+        _check_times(args.phase, times, signal)
+        return phase
     return estimate_phase(signal, config)
 
 
 def cmd_gen(args, parser) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = args.seed if args.seed is not None else int(os.environ.get("SHAPEWAVE_SEED", "0"))
     noise = NoiseSpec(sigma=args.sigma, seed=seed)
     out = args.out
-    base = out[:-4] if out.endswith(".csv") else out
+    base = out.removesuffix(".csv")
     written = [out]
     if args.generator == "example1":
         signal, phases, shape = gen_example1(args.n or 4096, noise)
@@ -163,9 +163,7 @@ def cmd_extract(args, parser) -> int:
     result = extract_shape(signal, phase, band_limit=args.K, grid_size=args.n,
                            zero_dc=args.zero_dc)
 
-    prefix = args.out_prefix
-    if prefix is None:
-        prefix = args.input[:-4] if args.input.endswith(".csv") else args.input
+    prefix = args.out_prefix if args.out_prefix is not None else args.input.removesuffix(".csv")
     coeffs = result.shape.coeffs
     resid_norm = float(np.linalg.norm(result.residual))
     rel_resid = resid_norm / float(np.linalg.norm(signal.values))
@@ -215,10 +213,7 @@ def cmd_extract_local(args, parser) -> int:
     track = extract_shape_track(signal, phase, centers=centers, mu=args.mu,
                                 band_limit=args.K)
 
-    out = args.out
-    if out is None:
-        base = args.input[:-4] if args.input.endswith(".csv") else args.input
-        out = f"{base}.track.csv"
+    out = args.out if args.out is not None else f"{args.input.removesuffix('.csv')}.track.csv"
     k_max = max((s.band_limit for s in track.shapes if s is not None), default=0)
     header = ["center_t", "drift", "error"]
     for k in range(k_max + 1):

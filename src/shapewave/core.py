@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFactors,
+    MismatchedLengths,
     NonFiniteValue,
     NonIncreasingTimes,
     NonMonotonePhase,
@@ -169,6 +170,8 @@ def validate_signal(times, values) -> Signal:
 
     Raises
     ------
+    MismatchedLengths
+        The sequences are not 1-d or differ in length.
     TooShort
         Fewer than ``MIN_SAMPLES`` samples.
     NonIncreasingTimes
@@ -179,7 +182,7 @@ def validate_signal(times, values) -> Signal:
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
-        raise ValueError("times and values must be 1-d sequences of equal length")
+        raise MismatchedLengths("times and values must be 1-d sequences of equal length")
     if len(times) < MIN_SAMPLES:
         raise TooShort(f"need at least {MIN_SAMPLES} samples, got {len(times)}")
     for name, arr in (("times", times), ("values", values)):
@@ -198,11 +201,11 @@ def validate_phase(signal: Signal, phases) -> PhaseFunction:
 
     The record must contain a near-integer number of whole periods
     (within ``PERIOD_TOLERANCE``), at least ``MIN_PERIODS`` of them, and the
-    phase must be strictly increasing.
+    phase must be strictly increasing, with the shape of ``signal.times``.
     """
     phases = np.asarray(phases, dtype=float)
     if phases.shape != signal.times.shape:
-        raise ValueError("phases must align with signal.times")
+        raise MismatchedLengths(f"phase shape {phases.shape} is not the signal's {signal.times.shape}")
     bad = np.flatnonzero(~np.isfinite(phases))
     if len(bad):
         raise NonFiniteValue(f"non-finite phase entry at index {bad[0]}")

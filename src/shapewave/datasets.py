@@ -15,6 +15,7 @@ CSV formats (UTF-8, LF or CRLF, plain decimal notation):
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,9 @@ from .errors import NonFiniteState, ParseError
 
 #: Absolute value beyond which an ODE trajectory counts as blown up.
 BLOWUP_LIMIT = 1.0e6
+
+#: Largest gap between a phase file's time and the signal's, in smallest sample steps.
+TIME_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -193,20 +197,19 @@ def gen_morphing_shape(n_samples: int, shape_a, shape_b, l_theta: int) -> Signal
 
 
 def _read_two_columns(path, expected_header):
+    with open(path, "rb") as handle:
+        raw = handle.read()
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    try:
+        reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
         for line_no, row in enumerate(reader, start=1):
             if not row:
                 continue
             if line_no == 1:
                 header = tuple(cell.strip() for cell in row)
                 if header != expected_header:
-                    raise ParseError(
-                        f"expected header {','.join(expected_header)!r}, got {','.join(header)!r} "
-                        f"at line 1",
-                        line=1,
-                    )
+                    raise ParseError(f"expected header {','.join(expected_header)!r}, got "
+                                     f"{','.join(header)!r} at line 1", line=1)
                 continue
             if len(row) != 2:
                 raise ParseError(f"expected 2 columns, got {len(row)} at line {line_no}", line=line_no)
@@ -214,6 +217,12 @@ def _read_two_columns(path, expected_header):
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
                 raise ParseError(f"non-numeric value at line {line_no}", line=line_no) from None
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, with line ends as the reader counts them
+        line = len((raw[: exc.start] + b".").splitlines())
+        raise ParseError(f"invalid UTF-8 at line {line}", line=line) from None
+    except csv.Error as exc:
+        raise ParseError(f"{exc} at line {reader.line_num}", line=reader.line_num) from None
     if not rows:
         raise ParseError("no data records", line=1)
     data = np.asarray(rows, dtype=float)
@@ -226,10 +235,21 @@ def load_signal_csv(path) -> Signal:
     return validate_signal(times, values)
 
 
-def load_phase_csv(path) -> np.ndarray:
-    """Read a ``t,theta`` file and return the raw phase samples."""
-    _, phases = _read_two_columns(path, ("t", "theta"))
-    return phases
+def load_phase_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a ``t,theta`` file and return its raw times and phase samples."""
+    return _read_two_columns(path, ("t", "theta"))
+
+
+def _check_times(path, times, signal: Signal):
+    """Raise ParseError at the first line of ``path`` whose time is off the signal's."""
+    tol = TIME_TOLERANCE * np.min(np.diff(signal.times))
+    bad = np.flatnonzero(~(np.abs(times - signal.times) <= tol))
+    if len(bad):
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            line = [reader.line_num for row in reader if row][bad[0] + 1]
+        raise ParseError(f"time at line {line} is not the signal's within {tol:.3g} "
+                         f"({TIME_TOLERANCE:g} of its smallest sample step)", line=line)
 
 
 def _write_two_columns(path, header, col_a, col_b):

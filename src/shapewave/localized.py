@@ -131,15 +131,16 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
                         band_limit: int | None = None) -> ShapeTrack:
     """Extract one shape function per window center.
 
-    Per-center failures are recorded and the track continues; the drift
-    sequence holds the shape distance between consecutive successful shapes.
-    The envelope reported for each window is de-biased by the taper where the
-    taper exceeds ``TAPER_RELIABLE`` and set to NaN elsewhere.
+    Per-center failures (a ``band_limit`` past a window's Nyquist among them)
+    are recorded and the track continues; the drift sequence holds the shape
+    distance between consecutive successful shapes.  The envelope reported
+    for each window is de-biased by the taper where the taper exceeds
+    ``TAPER_RELIABLE`` and set to NaN elsewhere.
 
     Windows that share their period count, grid and band limit are fitted as
     one stack, ``WINDOW_CHUNK`` centers at a time.  Each window's shape and
-    envelope equal those of :func:`extract_shape` on its own segment, and
-    each drift equals :func:`shape_distance` of its pair.
+    envelope equal those of :func:`extract_shape` on its own segment with the
+    same ``band_limit``, and each drift equals :func:`shape_distance` of its pair.
     """
     if mu < 1.0:
         raise ValueError(f"mu must be >= 1, got {mu}")
@@ -160,8 +161,7 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
             try:
                 segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu)
                 n = default_grid_size(segment.n_samples, segment_phase.l_theta)
-                k = default_band_limit(n, segment_phase.l_theta)
-                k = k if band_limit is None else min(band_limit, k)
+                k = default_band_limit(n, segment_phase.l_theta) if band_limit is None else band_limit
                 _, block = _band_block(segment, segment_phase, n, k)
             except ShapewaveError as exc:
                 errors[i] = _describe(exc)

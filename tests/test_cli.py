@@ -98,6 +98,22 @@ class TestExtract:
         assert run(["extract", signal_path, "--phase", phase_path, "--n", 64]) == 1
         assert "GridTooCoarse" in capsys.readouterr().err
 
+    def test_short_phase_file_is_pipeline_error(self, ex1_files, capsys, tmp_path):
+        signal_path, phase_path, _ = ex1_files
+        short = tmp_path / "short.phase.csv"
+        short.write_text("\n".join(phase_path.read_text().splitlines()[:100]) + "\n")
+        assert run(["extract", signal_path, "--phase", short]) == 1
+        assert "error: MismatchedLengths" in capsys.readouterr().err
+
+    def test_non_utf8_signal_is_pipeline_error(self, ex1_files, capsys, tmp_path):
+        signal_path, phase_path, _ = ex1_files
+        lines = signal_path.read_bytes().split(b"\n")
+        lines[4] = lines[4][:-1] + b"\xff"
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        assert run(["extract", bad, "--phase", phase_path]) == 1
+        assert "error: ParseError: invalid UTF-8 at line 5" in capsys.readouterr().err
+
     def test_estimated_phase_route(self, ex1_files, capsys):
         signal_path, _, _ = ex1_files
         assert run(["extract", signal_path, "--estimate-phase"]) == 0
@@ -168,6 +184,12 @@ class TestExtractLocal:
         err = capsys.readouterr().err
         assert f"index {bad} out of range for 4096 samples" in err
 
+    def test_band_limit_above_default_is_fitted(self, ex1_files, capsys):
+        signal_path, phase_path, _ = ex1_files
+        assert run(["extract-local", signal_path, "--phase", phase_path,
+                    "--centers", "2048", "--K", 30]) == 0
+        assert " K=30 " in capsys.readouterr().out
+
     def test_partial_failures_recorded(self, ex1_files, tmp_path):
         signal_path, phase_path, _ = ex1_files
         assert run(["extract-local", signal_path, "--phase", phase_path,
@@ -175,6 +197,21 @@ class TestExtractLocal:
         rows = (tmp_path / "ex1.track.csv").read_text().splitlines()
         assert "TooFewPeriods" in rows[1]
         assert rows[2].split(",")[2] == ""
+
+
+@pytest.mark.parametrize("command", ["extract", "extract-local"])
+@pytest.mark.parametrize("case, line", [("7t+3", 2), ("nan", 7)])
+def test_phase_times_must_be_signal_times(ex1_files, capsys, tmp_path, command, case, line):
+    signal_path, phase_path, _ = ex1_files
+    times, phases = sw.load_phase_csv(phase_path)
+    if case == "nan":
+        times[5] = np.nan
+    else:
+        times = 7.0 * times + 3.0
+    moved = tmp_path / "moved.phase.csv"
+    sw.datasets.write_phase_csv(moved, times, phases)
+    assert run([command, signal_path, "--phase", moved]) == 1
+    assert f"error: ParseError: time at line {line} is not the signal's within" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["extract", "extract-local"])

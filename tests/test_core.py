@@ -38,8 +38,19 @@ class TestValidateSignal:
         with pytest.raises(sw.NonIncreasingTimes, match="index 10"):
             sw.validate_signal(t, np.ones(32))
 
+    @pytest.mark.parametrize("values", [np.ones(31), np.ones((32, 1))])
+    def test_shape_mismatch_is_typed(self, values):
+        with pytest.raises(sw.MismatchedLengths):
+            sw.validate_signal(np.linspace(0.0, 1.0, 32), values)
+
 
 class TestValidatePhase:
+    def test_length_mismatch_is_typed(self):
+        t = np.linspace(0.0, 1.0, 256)
+        signal = sw.validate_signal(t, np.cos(40.0 * np.pi * t))
+        with pytest.raises(sw.MismatchedLengths, match=r"\(99,\).*\(256,\)"):
+            sw.validate_phase(signal, 40.0 * np.pi * t[:99])
+
     def test_linear_phase_period_count(self):
         t = np.linspace(0.0, 1.0, 256)
         signal = sw.validate_signal(t, np.cos(40.0 * np.pi * t))

@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapewave as sw
 
@@ -155,8 +159,42 @@ class TestCsv:
         signal, theta, _ = sw.gen_example1(512)
         path = tmp_path / "ph.csv"
         sw.datasets.write_phase_csv(path, signal.times, theta)
-        loaded = sw.load_phase_csv(path)
+        times, loaded = sw.load_phase_csv(path)
+        np.testing.assert_array_equal(times, signal.times)
         np.testing.assert_array_equal(loaded, theta)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_invalid_utf8_reports_line(self, tmp_path, newline):
+        path = tmp_path / "bytes.csv"
+        rows = ["t,f"] + [f"{i / 20:.3f},1.0" for i in range(20)]
+        text = newline.join(rows).encode()
+        # a lone continuation byte in the value of line 7
+        at = text.index(b"0.250,1") + len(b"0.250,")
+        path.write_bytes(text[:at] + b"\x80" + text[at:])
+        with pytest.raises(sw.ParseError, match="UTF-8 at line 7") as info:
+            sw.load_signal_csv(path)
+        assert info.value.line == 7
+
+    def test_oversized_field_reports_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("t,f\n0,1\n" + "1" * 200_000 + ",1\n")
+        with pytest.raises(sw.ParseError, match="field limit .* at line 3") as info:
+            sw.load_signal_csv(path)
+        assert info.value.line == 3
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(prefix=st.sampled_from([b"", b"t,f\n", b"t,theta\n", b"t,f\n0,1\n"]), body=st.binary())
+    def test_loaders_raise_only_typed_errors(self, prefix, body):
+        # arbitrary bytes load or raise a ShapewaveError, never anything else
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "fuzz.csv")
+            with open(path, "wb") as handle:
+                handle.write(prefix + body)
+            for load in (sw.load_signal_csv, sw.load_phase_csv):
+                try:
+                    load(path)
+                except sw.ShapewaveError:
+                    pass
 
     @pytest.mark.parametrize("writer, header", [("write_envelope_csv", b"t,a"),
                                                 ("write_residual_csv", b"t,r")])

@@ -111,15 +111,14 @@ def noisy_example1(example1, seed=4):
     return noisy, sw.exact_phase_from_samples(noisy, theta)
 
 
-def per_window(signal, phase, center, mu):
+def per_window(signal, phase, center, mu, band_limit=None):
     """One window through window_segment and extract_shape, de-biased like the tracker.
 
     Returns (coefficients, envelope, error text), with None where not reached.
     """
     try:
         segment, seg_phase, chi = sw.window_segment(signal, phase, center, mu)
-        n = sw.default_grid_size(segment.n_samples, seg_phase.l_theta)
-        result = sw.extract_shape(segment, seg_phase, band_limit=sw.default_band_limit(n, seg_phase.l_theta))
+        result = sw.extract_shape(segment, seg_phase, band_limit=band_limit)
     except sw.ShapewaveError as exc:
         return None, None, f"{type(exc).__name__}: {exc}"
     env = result.envelope.values_time.copy()
@@ -129,9 +128,9 @@ def per_window(signal, phase, center, mu):
     return result.shape.coeffs, env, None
 
 
-def assert_track_matches_per_window(signal, phase, track, mu):
+def assert_track_matches_per_window(signal, phase, track, mu, band_limit=None):
     for i, center in enumerate(track.center_indices):
-        coeffs, env, error = per_window(signal, phase, int(center), mu)
+        coeffs, env, error = per_window(signal, phase, int(center), mu, band_limit)
         assert track.errors[i] == error
         if error is None:
             np.testing.assert_array_equal(track.shapes[i].coeffs, coeffs)
@@ -156,6 +155,21 @@ class TestBatchedTrack:
         track = sw.extract_shape_track(signal, phase, mu=3)
         assert len(track.errors) > 2 * sw.localized.WINDOW_CHUNK
         assert_track_matches_per_window(signal, phase, track, mu=3)
+
+    def test_explicit_band_limit_matches_per_window(self, example1):
+        # K=30 lies above MAX_DEFAULT_BANDS yet below every window's Nyquist
+        signal, phase = noisy_example1(example1)
+        centers = [150, 700, 1500, 2048, 3800]
+        track = sw.extract_shape_track(signal, phase, centers=centers, mu=3, band_limit=30)
+        assert [s.band_limit for s in track.shapes if s is not None] == [30] * 4
+        assert_track_matches_per_window(signal, phase, track, mu=3, band_limit=30)
+
+    def test_band_limit_past_nyquist_recorded_per_window(self, example1):
+        signal, phase = noisy_example1(example1)
+        track = sw.extract_shape_track(signal, phase, centers=[700, 2048], mu=3, band_limit=500)
+        assert all(e.startswith("BandExceedsNyquist: band 500") for e in track.errors)
+        assert track.shapes == [None, None] and np.all(np.isnan(track.drift))
+        assert_track_matches_per_window(signal, phase, track, mu=3, band_limit=500)
 
     def test_zero_window_fails_alone(self, example1):
         signal, phase = noisy_example1(example1)
