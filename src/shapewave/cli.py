@@ -1,7 +1,8 @@
 """Command-line front end: generate benchmark data, extract shapes, track drift.
 
 Exit codes: 0 on success, 1 on a pipeline/domain error (the error class name
-is printed to stderr), 2 on usage errors (bad arguments, missing files).
+is printed to stderr), 2 on usage errors (bad arguments, out-of-range values,
+missing files).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .datasets import (
     write_shape_csv,
     write_signal_csv,
 )
-from .errors import ShapewaveError
+from .errors import InvalidArgument, ShapewaveError
 from .extract import extract_shape
 from .localized import extract_shape_track
 from .phase import PhaseEstimateConfig, estimate_phase, exact_phase_from_samples
@@ -72,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         src.add_argument("--estimate-phase", action="store_true",
                          help="estimate the phase from the signal")
         p.add_argument("--K", type=int, default=None, help="number of harmonic bands")
-        p.add_argument("--n", type=int, default=None, help="phase grid size (power of two)")
         p.add_argument("--lambda", dest="lam", type=float, default=0.5,
                        help="smoothing cutoff fraction for phase estimation")
         p.add_argument("--fundamental-hint", type=float, default=None,
@@ -80,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ext = sub.add_parser("extract", help="extract one shape function from the whole record")
     add_phase_opts(ext)
+    ext.add_argument("--n", type=int, default=None, help="phase grid size (power of two)")
     ext.add_argument("--zero-dc", action="store_true", help="zero out band 0 before fitting")
     ext.add_argument("--out-prefix", default=None,
                      help="prefix for result files (default: input path without extension)")
@@ -105,7 +106,7 @@ def _load_phase(args, parser, signal):
     try:
         config = PhaseEstimateConfig(fundamental_hint=args.fundamental_hint,
                                      smoothing_cutoff=args.lam)
-    except ValueError as exc:
+    except InvalidArgument as exc:
         parser.error(f"--lambda: {exc}")
     if args.phase is not None:
         _require_file(parser, args.phase)
@@ -119,11 +120,12 @@ def _load_phase(args, parser, signal):
 def cmd_gen(args, parser) -> int:
     seed = args.seed if args.seed is not None else int(os.environ.get("SHAPEWAVE_SEED", "0"))
     noise = NoiseSpec(sigma=args.sigma, seed=seed)
+    n = args.n if args.n is not None else (8192 if args.generator == "duffing" else 4096)
     out = args.out
     base = out.removesuffix(".csv")
     written = [out]
     if args.generator == "example1":
-        signal, phases, shape = gen_example1(args.n or 4096, noise)
+        signal, phases, shape = gen_example1(n, noise)
         write_signal_csv(out, signal)
         write_phase_csv(f"{base}.phase.csv", signal.times, phases)
         tau = 2.0 * np.pi * np.arange(SHAPE_GRID) / SHAPE_GRID
@@ -135,10 +137,9 @@ def cmd_gen(args, parser) -> int:
             omega_exponent=args.omega_exp, u0=args.u0, v0=args.v0,
             t_span=args.t_span, dt=args.dt,
         )
-        signal = gen_duffing(params, noise, n_samples=args.n or 8192)
+        signal = gen_duffing(params, noise, n_samples=n)
         write_signal_csv(out, signal)
     else:
-        n = args.n or 4096
         shape_a = np.cos
         shape_b = lambda tau: np.cos(tau + MORPH_TARGET_WOBBLE * np.cos(2.0 * tau))  # noqa: E731
         signal = gen_morphing_shape(n, shape_a, shape_b, args.l_theta)
@@ -153,10 +154,6 @@ def cmd_gen(args, parser) -> int:
 
 
 def cmd_extract(args, parser) -> int:
-    if args.K is not None and args.K < 1:
-        parser.error(f"--K must be >= 1, got {args.K}")
-    if args.n is not None and (args.n < 1 or args.n & (args.n - 1)):
-        parser.error(f"--n must be a power of two, got {args.n}")
     _require_file(parser, args.input)
     signal = load_signal_csv(args.input)
     phase = _load_phase(args, parser, signal)
@@ -196,8 +193,6 @@ def cmd_extract(args, parser) -> int:
 
 
 def cmd_extract_local(args, parser) -> int:
-    if args.mu < 1.0:
-        parser.error(f"--mu must be >= 1, got {args.mu}")
     _require_file(parser, args.input)
     signal = load_signal_csv(args.input)
     centers = None
@@ -214,7 +209,7 @@ def cmd_extract_local(args, parser) -> int:
                                 band_limit=args.K)
 
     out = args.out if args.out is not None else f"{args.input.removesuffix('.csv')}.track.csv"
-    k_max = max((s.band_limit for s in track.shapes if s is not None), default=0)
+    k_max = max((s.band_limit for s in track.shapes if s is not None), default=-1)
     header = ["center_t", "drift", "error"]
     for k in range(k_max + 1):
         header += [f"c{k}_re", f"c{k}_im"]
@@ -233,8 +228,8 @@ def cmd_extract_local(args, parser) -> int:
             writer.writerow(row)
 
     ok = sum(1 for e in track.errors if e is None)
-    print(f"centers={len(track.center_indices)} ok={ok} mu={args.mu:g} K={k_max} "
-          f"l_theta={phase.l_theta} lambda={args.lam:g}")
+    print(f"centers={len(track.center_indices)} ok={ok} mu={args.mu:g} "
+          f"K={k_max if k_max >= 0 else 'none'} l_theta={phase.l_theta} lambda={args.lam:g}")
     return 0
 
 
@@ -242,7 +237,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        try:
+            return args.func(args, parser)
+        except InvalidArgument as exc:
+            parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
     except ShapewaveError as exc:

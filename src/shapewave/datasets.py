@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Signal, validate_signal
-from .errors import NonFiniteState, ParseError
+from .core import MIN_SAMPLES, Signal, validate_signal
+from .errors import InvalidArgument, NonFiniteState, ParseError
 
 #: Absolute value beyond which an ODE trajectory counts as blown up.
 BLOWUP_LIMIT = 1.0e6
@@ -39,8 +39,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise InvalidArgument(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.seed:
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
 
     def draw(self, n: int) -> np.ndarray:
         return self.sigma * np.random.default_rng(self.seed).standard_normal(n)
@@ -70,12 +72,12 @@ class DuffingParams:
     dt: float = 0.01
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_span / self.dt < 1000:
-            raise ValueError("t_span/dt must be at least 1000")
-        if self.omega_exponent <= 0.0:
-            raise ValueError(f"omega_exponent must be positive, got {self.omega_exponent}")
+        if not 0.0 < self.dt < math.inf:
+            raise InvalidArgument(f"dt must be positive, got {self.dt}")
+        if not 1000 <= self.t_span / self.dt < math.inf:
+            raise InvalidArgument("t_span/dt must be at least 1000")
+        if not 0.0 < self.omega_exponent < math.inf:
+            raise InvalidArgument(f"omega_exponent must be positive, got {self.omega_exponent}")
 
 
 def integrate_duffing(params: DuffingParams):
@@ -137,6 +139,8 @@ def gen_duffing(params: DuffingParams | None = None, noise: NoiseSpec = NoiseSpe
     The dense trajectory is thinned to about ``n_samples`` points, or kept
     whole if it has no more than that.
     """
+    if not MIN_SAMPLES <= n_samples:
+        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
     if params is None:
         params = DuffingParams()
     times, u, _ = integrate_duffing(params)
@@ -169,8 +173,8 @@ def gen_example1(n_samples: int = 4096, noise: NoiseSpec = NoiseSpec()):
         The signal, the exact phase samples, and the exact shape evaluator
         ``s(tau) = 1 / (1.1 + cos(tau + cos(2*tau)))``.
     """
-    if n_samples < 512:
-        raise ValueError(f"need at least 512 samples, got {n_samples}")
+    if not 512 <= n_samples:
+        raise InvalidArgument(f"need at least 512 samples, got {n_samples}")
     t = np.linspace(0.0, 1.0, n_samples)
     theta = 40.0 * np.pi * t + 2.0 * np.cos(6.0 * np.pi * t)
     envelope = 1.0 / (2.0 + np.sin(2.0 * np.pi * t))
@@ -187,6 +191,10 @@ def gen_morphing_shape(n_samples: int, shape_a, shape_b, l_theta: int) -> Signal
     phase ``theta = 2*pi*l_theta*t`` on [0, 1].  Both evaluators must be
     2*pi-periodic.
     """
+    if not MIN_SAMPLES <= n_samples:
+        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    if not 1 <= l_theta:
+        raise InvalidArgument(f"l_theta must be >= 1, got {l_theta}")
     t = np.linspace(0.0, 1.0, n_samples)
     theta = 2.0 * np.pi * l_theta * t
     f = (1.0 - t) * np.asarray(shape_a(theta), dtype=float) + t * np.asarray(shape_b(theta), dtype=float)

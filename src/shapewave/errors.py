@@ -1,12 +1,17 @@
 """Exception hierarchy for the shapewave pipeline.
 
-Every domain error derives from :class:`ShapewaveError` so callers (and the
-CLI) can distinguish pipeline failures from programming errors.
+Every domain error derives from :class:`ShapewaveError`: the data cannot be
+fitted, and the CLI exits 1.  An argument out of its documented range is an
+:class:`InvalidArgument`, a ``ValueError``; the CLI exits 2 with its usage.
 """
 
 
 class ShapewaveError(Exception):
     """Base class for all shapewave domain errors."""
+
+
+class InvalidArgument(ValueError):
+    """A parameter outside its documented range (NaN and infinities included)."""
 
 
 # ---- signal / phase validation ---------------------------------------------

@@ -26,14 +26,8 @@ from .core import (
     evaluate_shape,
     normalize_rank1_factors,
 )
-from .errors import DegenerateInput, NonConvergence, NonFiniteValue
-from .transform import (
-    _band_samples,
-    band_indices,
-    default_grid_size,
-    interp_phase_to_time,
-    resample_to_phase,
-)
+from .errors import DegenerateInput, InvalidArgument, NonConvergence, NonFiniteValue
+from .transform import _band_samples, default_grid_size, interp_phase_to_time, resample_to_phase
 
 #: Cap on the automatically chosen number of harmonic bands.
 MAX_DEFAULT_BANDS = 20
@@ -123,19 +117,22 @@ def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _band_block(signal: Signal, phase: PhaseFunction, n: int, k_max: int):
+def _band_block(signal: Signal, phase: PhaseFunction, grid_size: int | None, band_limit: int | None):
     """Resample one record and cut its trimmed bands 0..K, ``l_theta`` samples each.
 
-    Returns the phase-domain signal and the (K+1) x l_theta band block.  The
-    samples are scaled by ``sqrt(n/l_theta)``, so the column inner products
-    (hence sigma, the right vector and the objective) are those of the
-    n-sample bands.
+    ``grid_size`` and ``band_limit`` default as in :func:`extract_shape`.
+    Returns the phase-domain signal (its grid is the n used) and the
+    (K+1) x l_theta band block.  The samples are scaled by
+    ``sqrt(n/l_theta)``, so the column inner products (hence sigma, the
+    right vector and the objective) are those of the n-sample bands.
     """
-    # fail early with the guidance message if band K does not fit
-    band_indices(k_max, phase.l_theta, n)
-    pds = resample_to_phase(signal, phase, n)
     m = phase.l_theta
-    return pds, np.sqrt(n / m) * _band_samples(pds, np.arange(k_max + 1), m, True)
+    n = grid_size if grid_size is not None else default_grid_size(signal.n_samples, m)
+    k_max = band_limit if band_limit is not None else default_band_limit(n, m)
+    if not 1 <= k_max:
+        raise InvalidArgument("band limit must be at least 1")
+    pds = resample_to_phase(signal, phase, n)
+    return pds, np.sqrt(n / m) * _band_samples(pds, range(k_max + 1), m, True)
 
 
 def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
@@ -201,21 +198,18 @@ def extract_shape(
         original phase variable, so the reconstruction is
         ``envelope.values_time * shape(phase.phases)``.
     """
-    n = grid_size if grid_size is not None else default_grid_size(signal.n_samples, phase.l_theta)
-    k_max = band_limit if band_limit is not None else default_band_limit(n, phase.l_theta)
-    if k_max < 1:
-        raise ValueError("band limit must be at least 1")
     # pds is held until the call returns: freed before the back-interpolation,
     # its 24n bytes let malloc trim the heap, and the spline then faults the
     # pages in again (about 10 % of a 65 536-sample call)
-    pds, block = _band_block(signal, phase, n, k_max)
+    pds, block = _band_block(signal, phase, grid_size, band_limit)
+    n = pds.grid.n
     fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], block[None], n, zero_dc)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 
     # singular values past rank l_theta are reported as 0
     s = fit.singular_values[0]
-    singular_values = np.concatenate((s, np.zeros(2 * k_max + 1 - len(s))))
+    singular_values = np.concatenate((s, np.zeros(2 * len(coeffs) - 1 - len(s))))
     s_sq = singular_values**2
     diagnostics = FitDiagnostics(
         singular_values=singular_values,

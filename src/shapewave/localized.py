@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PhaseFunction, ShapeFunction, Signal, validate_phase, validate_signal
-from .errors import CenterOutOfRange, ShapewaveError, WindowTooShort
-from .extract import _band_block, _fit_stack, _padded, _pair_distances, default_band_limit
-from .transform import default_grid_size
+from .errors import CenterOutOfRange, InvalidArgument, ShapewaveError, WindowTooShort
+from .extract import _band_block, _fit_stack, _padded, _pair_distances
 
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
@@ -141,11 +140,10 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     one stack, ``WINDOW_CHUNK`` centers at a time.  Each window's shape and
     envelope equal those of :func:`extract_shape` on its own segment with the
     same ``band_limit``, and each drift equals :func:`shape_distance` of its pair.
+    A ``mu`` or ``band_limit`` out of range raises :class:`InvalidArgument`.
     """
-    if mu < 1.0:
-        raise ValueError(f"mu must be >= 1, got {mu}")
-    if band_limit is not None and band_limit < 1:
-        raise ValueError("band limit must be at least 1")
+    if not 1.0 <= mu < np.inf:
+        raise InvalidArgument(f"mu must be >= 1, got {mu}")
     if centers is None:
         center_idx = default_centers(signal, phase, mu)
     else:
@@ -160,13 +158,12 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
         for i in range(start, min(start + WINDOW_CHUNK, count)):
             try:
                 segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu)
-                n = default_grid_size(segment.n_samples, segment_phase.l_theta)
-                k = default_band_limit(n, segment_phase.l_theta) if band_limit is None else band_limit
-                _, block = _band_block(segment, segment_phase, n, k)
+                pds, block = _band_block(segment, segment_phase, None, band_limit)
             except ShapewaveError as exc:
                 errors[i] = _describe(exc)
                 continue
-            groups.setdefault((n,) + block.shape, []).append((i, segment, segment_phase, chi, block))
+            key = (pds.grid.n,) + block.shape
+            groups.setdefault(key, []).append((i, segment, segment_phase, chi, block))
         for (n, *_), members in groups.items():
             for i, shape, env, error in _fit_windows(members, n):
                 shapes[i], envelopes[i], errors[i] = shape, env, error

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MIN_PERIODS, PhaseFunction, Signal, validate_phase
-from .errors import AmbiguousFundamental, DegenerateInput, NonMonotoneEstimate
+from .errors import AmbiguousFundamental, DegenerateInput, InvalidArgument, NonMonotoneEstimate
 from .transform import natural_cubic_spline
 
 #: Required magnitude margin of the dominant spectral peak over the runner-up.
@@ -40,7 +40,7 @@ class PhaseEstimateConfig:
 
     def __post_init__(self):
         if not 0.0 < self.smoothing_cutoff <= 0.5:
-            raise ValueError(f"smoothing_cutoff must be in (0, 0.5], got {self.smoothing_cutoff}")
+            raise InvalidArgument(f"smoothing_cutoff must be in (0, 0.5], got {self.smoothing_cutoff}")
 
 
 def _dominant_peak(magnitude: np.ndarray) -> int:
@@ -117,10 +117,11 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
 
     half_spectrum = np.fft.rfft(grid_v)
     magnitude = np.abs(half_spectrum)
-    if config.fundamental_hint is not None:
-        fundamental = int(round(config.fundamental_hint))
-        if not 1 <= fundamental < len(magnitude):
-            raise ValueError(f"fundamental hint {config.fundamental_hint} out of range")
+    hint = config.fundamental_hint
+    if hint is not None:
+        if not (np.isfinite(hint) and 1 <= round(hint) < len(magnitude)):
+            raise InvalidArgument(f"fundamental hint {hint} out of range")
+        fundamental = int(round(hint))
     else:
         fundamental = _dominant_peak(magnitude)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .core import NormalizedPhaseGrid, PhaseFunction, Signal
-from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse
+from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse, InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def forward_spectrum(values) -> np.ndarray:
     """
     values = np.asarray(values)
     n = len(values)
-    if n & (n - 1):
-        raise ValueError(f"length must be a power of two, got {n}")
+    if not 1 <= n or n & (n - 1):
+        raise InvalidArgument(f"length must be a power of two, got {n}")
     return np.fft.fftshift(np.fft.fft(values))
 
 
@@ -109,8 +109,8 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDoma
     GridTooCoarse
         If ``n < 4 * l_theta``.
     """
-    if n & (n - 1):
-        raise ValueError(f"grid size must be a power of two, got {n}")
+    if not 1 <= n or n & (n - 1):
+        raise InvalidArgument(f"grid size must be a power of two, got {n}")
     if n < 4 * phase.l_theta:
         raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * phase.l_theta}")
     grid = NormalizedPhaseGrid(n=n)
@@ -150,14 +150,17 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
 def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) -> np.ndarray:
     """Bands ``ks`` at baseband, one row per band, sampled at phi = j/size.
 
-    ``size`` is n, or l_theta once trimmed.  Every band has the same bin
-    offsets relative to ``k*l_theta``, so all of them are gathered with one
-    index and transformed with one inverse FFT.
+    ``ks`` is one band or a run of consecutive bands; the end farthest from
+    0 is checked against Nyquist before any row is allocated.  ``size`` is n, or l_theta once trimmed.  For even ``l_theta`` a band's
+    lowest bin has no conjugate partner inside the band; ``trim_unpaired``
+    drops it, since the model's envelope spectrum vanishes there.  Every
+    band has the same bin offsets relative to ``k*l_theta``, so all of them
+    are gathered with one index and transformed with one inverse FFT.
     """
     n, l_theta = pds.grid.n, pds.l_theta
-    ks = np.asarray(ks)
-    k_far = int(ks[np.argmax(np.abs(ks))])
+    k_far = int(max(ks[0], ks[-1], key=abs))
     lo, hi = band_indices(k_far, l_theta, n)
+    ks = np.asarray(ks)
     offsets = np.arange(lo, hi + 1) - k_far * l_theta
     if trim_unpaired and l_theta % 2 == 0:
         offsets = offsets[1:]
@@ -166,21 +169,15 @@ def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) ->
     return np.fft.ifft(buf, axis=1) * (size / n)
 
 
-def extract_demodulated_band(pds: PhaseDomainSignal, k: int,
-                             trim_unpaired: bool = False) -> DemodulatedBand:
+def extract_demodulated_band(pds: PhaseDomainSignal, k: int) -> DemodulatedBand:
     """Isolate harmonic band ``k`` and shift it down to baseband.
 
     Returns ``g_k(phi_j) = (1/n) * sum_{omega in band k} spectrum(omega)
     * exp(2j*pi*(omega - k*l_theta)*j/n)``.  For a signal matching the model,
     ``g_k`` approximates the envelope times the k-th shape coefficient.
-
-    For even ``l_theta`` the band's lowest bin has no conjugate partner
-    inside the band; ``trim_unpaired=True`` zeroes it.  The model constrains
-    the envelope spectrum to vanish at exactly that offset, so the fitting
-    path discards it, while the default keeps the band's exact tiling of the
-    frequency axis.
+    The bands keep every bin, so they tile the frequency axis exactly.
     """
-    return DemodulatedBand(k=k, values=_band_samples(pds, [k], pds.grid.n, trim_unpaired)[0])
+    return DemodulatedBand(k=k, values=_band_samples(pds, [k], pds.grid.n, False)[0])
 
 
 def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:

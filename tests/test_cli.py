@@ -190,6 +190,15 @@ class TestExtractLocal:
                     "--centers", "2048", "--K", 30]) == 0
         assert " K=30 " in capsys.readouterr().out
 
+    def test_no_fitted_window_writes_no_coefficients(self, ex1_files, tmp_path, capsys):
+        signal_path, phase_path, _ = ex1_files
+        assert run(["extract-local", signal_path, "--phase", phase_path,
+                    "--K", 500, "--centers", "700,2048"]) == 0
+        assert " K=none " in capsys.readouterr().out
+        rows = (tmp_path / "ex1.track.csv").read_text().splitlines()
+        assert rows[0] == "center_t,drift,error"
+        assert len(rows) == 3 and all("BandExceedsNyquist" in row for row in rows[1:])
+
     def test_partial_failures_recorded(self, ex1_files, tmp_path):
         signal_path, phase_path, _ = ex1_files
         assert run(["extract-local", signal_path, "--phase", phase_path,
@@ -221,3 +230,36 @@ def test_lambda_out_of_range_usage_error(ex1_files, capsys, command, lam):
     for source in (["--estimate-phase"], ["--phase", phase_path]):
         assert run([command, signal_path, *source, "--lambda", lam]) == 2
         assert "--lambda" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "example1", "--n", 100],
+    ["gen", "example1", "--n", 0],
+    ["gen", "duffing", "--n", -5],
+    ["gen", "duffing", "--dt", 0],
+    ["gen", "duffing", "--dt", "nan"],
+    ["gen", "duffing", "--t-span", 5],
+    ["gen", "duffing", "--omega-exp", 0],
+    ["gen", "example1", "--sigma", -1],
+    ["gen", "example1", "--sigma", 0.1, "--seed", -1],
+    ["gen", "morph", "--l-theta", 0],
+    ["extract", "--estimate-phase", "--fundamental-hint", 1e9],
+    ["extract", "--estimate-phase", "--fundamental-hint", "nan"],
+    ["extract", "--n", 0],
+    ["extract", "--n", -4],
+    ["extract-local", "--K", 0],
+    ["extract-local", "--mu", "nan"],
+    ["extract-local", "--mu", "inf"],
+    ["extract-local", "--n", 1000],
+], ids=lambda args: " ".join(map(str, args)))
+def test_out_of_range_value_is_usage_error(ex1_files, capsys, tmp_path, args):
+    signal_path, phase_path, _ = ex1_files
+    command, *options = args
+    if command == "gen":
+        argv = [command, *options, "--out", tmp_path / "x.csv"]
+    else:
+        source = [] if "--estimate-phase" in options else ["--phase", phase_path]
+        argv = [command, signal_path, *source, *options]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err

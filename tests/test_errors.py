@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+import shapewave as sw
+from shapewave.errors import InvalidArgument
+
+NAN = float("nan")
+
+
+def test_invalid_argument_is_value_error_not_domain_error():
+    assert issubclass(InvalidArgument, ValueError)
+    assert not issubclass(InvalidArgument, sw.ShapewaveError)
+    assert "InvalidArgument" not in sw.__all__
+
+
+#: One out-of-range argument per case; each must raise InvalidArgument.
+CASES = {
+    "track-mu-nan": lambda s, p: sw.extract_shape_track(s, p, mu=NAN),
+    "track-mu-inf": lambda s, p: sw.extract_shape_track(s, p, mu=np.inf),
+    "band-limit-0": lambda s, p: sw.extract_shape(s, p, band_limit=0),
+    "grid-0": lambda s, p: sw.extract_shape(s, p, grid_size=0),
+    "grid-negative": lambda s, p: sw.resample_to_phase(s, p, -4),
+    "spectrum-empty": lambda s, p: sw.forward_spectrum([]),
+    "hint-nan": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=NAN)),
+    "hint-inf": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=np.inf)),
+    "dt-nan": lambda s, p: sw.DuffingParams(dt=NAN),
+    "t-span-inf": lambda s, p: sw.DuffingParams(t_span=np.inf),
+    "omega-exponent-nan": lambda s, p: sw.DuffingParams(omega_exponent=NAN),
+    "sigma-inf": lambda s, p: sw.NoiseSpec(sigma=np.inf),
+    "seed-negative": lambda s, p: sw.NoiseSpec(seed=-1),
+    "duffing-5-samples": lambda s, p: sw.gen_duffing(n_samples=5),
+    "morph-l-theta-0": lambda s, p: sw.gen_morphing_shape(1024, np.cos, np.cos, l_theta=0),
+    "morph-8-samples": lambda s, p: sw.gen_morphing_shape(8, np.cos, np.cos, l_theta=4),
+}
+
+
+@pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
+def test_out_of_range_argument_raises(example1, call):
+    signal, _, _, phase = example1
+    with pytest.raises(InvalidArgument):
+        call(signal, phase)
+
+
+def test_track_band_limit_below_one_raises_instead_of_recording(example1):
+    signal, _, _, phase = example1
+    with pytest.raises(InvalidArgument, match="band limit must be at least 1"):
+        sw.extract_shape_track(signal, phase, centers=[1024, 2048], band_limit=0)
+
+
+def test_band_limit_past_nyquist_fails_before_allocating(example1):
+    signal, _, _, phase = example1
+    # the band indices alone would take 8 PB, more than any address space
+    with pytest.raises(sw.BandExceedsNyquist):
+        sw.extract_shape(signal, phase, band_limit=10**15)
