@@ -109,6 +109,8 @@ def _load_phase(args, parser, signal):
     except InvalidArgument as exc:
         parser.error(f"--lambda: {exc}")
     if args.phase is not None:
+        if args.fundamental_hint is not None:
+            parser.error("--fundamental-hint applies only with --estimate-phase")
         _require_file(parser, args.phase)
         times, phases = load_phase_csv(args.phase)
         phase = exact_phase_from_samples(signal, phases)
@@ -118,7 +120,10 @@ def _load_phase(args, parser, signal):
 
 
 def cmd_gen(args, parser) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("SHAPEWAVE_SEED", "0"))
+    try:
+        seed = args.seed if args.seed is not None else int(os.environ.get("SHAPEWAVE_SEED", "0"))
+    except ValueError:
+        parser.error(f"SHAPEWAVE_SEED must be an integer, got {os.environ['SHAPEWAVE_SEED']!r}")
     noise = NoiseSpec(sigma=args.sigma, seed=seed)
     n = args.n if args.n is not None else (8192 if args.generator == "duffing" else 4096)
     out = args.out

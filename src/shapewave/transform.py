@@ -68,9 +68,13 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
     DegenerateInput
         If LAPACK reports the slope system singular.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xq = np.asarray(xq, dtype=float)
+    x, y, xq = (np.asarray(a, dtype=float) for a in (x, y, xq))
+    return _spline(x, y, xq.ravel(), np.searchsorted(x[1:-1], xq.ravel(), "right")).reshape(xq.shape)
+
+
+def _spline(x, y, xq, i) -> np.ndarray:
+    """:func:`natural_cubic_spline` of float arrays at a 1-D ``xq``, whose intervals
+    ``i = searchsorted(x[1:-1], xq, "right")`` the caller supplies."""
     dx = np.diff(x)
     slope = np.diff(y) / dx
     # rows i = 1..n-2 balance the second derivative across node i; the end
@@ -86,10 +90,13 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0 = t / dx
     c1 = (slope - s[:-1]) / dx - t
-    # interval of each query: clip(searchsorted(x, xq, "right") - 1, 0, len(x) - 2)
-    i = np.searchsorted(x[1:-1], xq, "right")
-    u = xq - x[i]
-    return y[i] + s[i] * u + c1[i] * (u * u) + c0[i] * (u * u * u)
+    out = np.empty(len(xq))
+    for lo in range(0, len(xq), 8192):  # blocks whose gathers and temporaries stay in cache
+        b = slice(lo, lo + 8192)
+        ib = i[b]
+        u = xq[b] - x[ib]
+        out[b] = y[ib] + s[ib] * u + c1[ib] * (u * u) + c0[ib] * (u * u * u)
+    return out
 
 
 def default_grid_size(n_samples: int, l_theta: int) -> int:
@@ -104,6 +111,10 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDoma
     ``phi_j = j/n``.  The grid must be a power of two with ``n >= 4*l_theta``
     so every harmonic band up to the first is resolvable.
 
+    Query j's interval counts the interior nodes with ``phi_l <= j/n``, i.e.
+    ``ceil(phi_l*n) <= j``: a running sum of a ``bincount``.  This is exact:
+    n is a power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
+
     Raises
     ------
     GridTooCoarse
@@ -114,7 +125,9 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDoma
     if n < 4 * phase.l_theta:
         raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * phase.l_theta}")
     grid = NormalizedPhaseGrid(n=n)
-    values = natural_cubic_spline(phase.normalized(), signal.values, grid.nodes)
+    phi = phase.normalized()
+    first = np.ceil(phi[1:-1] * n).clip(0, n).astype(np.intp)
+    values = _spline(phi, signal.values, grid.nodes, np.cumsum(np.bincount(first, minlength=n + 1)[:n]))
     return PhaseDomainSignal(
         grid=grid,
         values=values,
@@ -186,8 +199,16 @@ def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
     The phase grid is closed periodically at phi = 1 (every quantity carried
     on it is one record-period of a periodic function), then a natural cubic
     spline is evaluated at ``phi(t_l)``.
+
+    The nodes are ``k/n``, so ``phi`` lies in interval ``floor(phi*n)``, capped at n-1, up to
+    the rounding of ``phi*n`` and ``k/n`` when n is not a power of two; one step against
+    the nodes themselves (open at both ends) undoes that, so the index is exact.
     """
     values_phase = np.asarray(values_phase, dtype=float)
     n = len(values_phase)
     nodes = np.arange(n + 1) / n
-    return natural_cubic_spline(nodes, np.append(values_phase, values_phase[0]), phase.normalized())
+    phi = phase.normalized()
+    bounds = np.concatenate(([-np.inf], nodes[1:-1], [np.inf]))
+    i = (phi * n).clip(0, n - 1).astype(np.intp)
+    i = i - (bounds[i] > phi) + (bounds[i + 1] <= phi)
+    return _spline(nodes, np.append(values_phase, values_phase[0]), phi, i)

@@ -48,6 +48,15 @@ class TestGen:
         assert run(["gen", "example1", "--sigma", 0.3, "--seed", 7, "--out", out_flag]) == 0
         assert out_env.read_bytes() == out_flag.read_bytes()
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("SHAPEWAVE_SEED", value)
+        assert run(["gen", "example1", "--sigma", 0.1, "--out", tmp_path / "y.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        if value == "abc":
+            assert "SHAPEWAVE_SEED must be an integer, got 'abc'" in err
+
     def test_morph_writes_phase(self, tmp_path):
         out = tmp_path / "m.csv"
         assert run(["gen", "morph", "--n", 2048, "--l-theta", 16, "--out", out]) == 0
@@ -263,3 +272,11 @@ def test_out_of_range_value_is_usage_error(ex1_files, capsys, tmp_path, args):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["extract", "extract-local"])
+def test_fundamental_hint_with_exact_phase_is_usage_error(ex1_files, capsys, command):
+    # the exact phase never reads the hint, so it must not be accepted silently
+    signal_path, phase_path, _ = ex1_files
+    assert run([command, signal_path, "--phase", phase_path, "--fundamental-hint", 20]) == 2
+    assert "--fundamental-hint applies only with --estimate-phase" in capsys.readouterr().err

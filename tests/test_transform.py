@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapewave as sw
 from shapewave import transform
@@ -295,3 +299,82 @@ class TestNaturalCubicSpline:
     def test_singular_system_is_typed_error(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(sw.DegenerateInput):
             transform.natural_cubic_spline([0.0, 0.0], [1.0, 2.0], [0.5])
+
+
+def spline_call(call):
+    """Run ``call`` and return the ``(x, xq, i)`` it handed to the spline core."""
+    seen = []
+    real = transform._spline
+
+    def spy(x, y, xq, i):
+        seen.append((x, xq, i))
+        return real(x, y, xq, i)
+
+    with mock.patch.object(transform, "_spline", spy):
+        call()
+    (found,) = seen
+    return found
+
+
+def unit_phase(interior):
+    """A phase whose normalized values are exactly 0, sorted ``interior``, 1."""
+    phases = np.concatenate(([0.0], np.unique(interior), [1.0]))
+    times = np.arange(len(phases), dtype=float)
+    # zero values keep the spline finite on node gaps of one ulp
+    return sw.Signal(times, np.zeros(len(times))), sw.PhaseFunction(phases, 1)
+
+
+@st.composite
+def node_adjacent(draw, n):
+    """Points in (0, 1): random ones, nodes k/n and their float neighbours on both sides."""
+    k = np.array(draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=40)))
+    nodes = k / n
+    rand = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                  max_size=40)))
+    points = np.concatenate((nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, 1.0), rand))
+    return points[(points > 0.0) & (points < 1.0)]
+
+
+class TestSplineIntervals:
+    """The closed-form interval indices of the two phase-grid splines equal a binary search."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), log_n=st.integers(2, 14))
+    def test_resample_index_is_searchsorted(self, data, log_n):
+        n = 1 << log_n
+        signal, phase = unit_phase(data.draw(node_adjacent(n)))
+        x, xq, i = spline_call(lambda: transform.resample_to_phase(signal, phase, n))
+        np.testing.assert_array_equal(xq, np.arange(n) / n)
+        np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], xq, "right"))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.one_of(st.integers(2, 5000), st.sampled_from([64, 1024, 4096])))
+    def test_interp_index_is_searchsorted(self, data, n):
+        _, phase = unit_phase(data.draw(node_adjacent(n)))
+        values = np.cos(np.arange(n))
+        x, xq, i = spline_call(lambda: transform.interp_phase_to_time(values, phase))
+        assert xq[0] == 0.0 and xq[-1] == 1.0
+        np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], xq, "right"))
+
+    @pytest.fixture(scope="class")
+    def long_record(self):
+        """20 000 samples: several 8 192-query blocks and a partial last one."""
+        t = np.linspace(0.0, 1.0, 20000)
+        theta = 2.0 * np.pi * 97.0 * t + 2.0 * np.cos(6.0 * np.pi * t)
+        noise = 0.1 * np.random.default_rng(3).standard_normal(len(t))
+        signal = sw.validate_signal(t, np.cos(theta + np.cos(2.0 * theta)) + noise)
+        return signal, sw.exact_phase_from_samples(signal, theta)
+
+    @pytest.mark.parametrize("n", [1024, 32768])
+    def test_resample_equals_generic_spline(self, long_record, n):
+        signal, phase = long_record
+        pds = transform.resample_to_phase(signal, phase, n)
+        ref = transform.natural_cubic_spline(phase.normalized(), signal.values, pds.grid.nodes)
+        assert np.array_equal(pds.values, ref)
+
+    @pytest.mark.parametrize("n", [4096, 1000])
+    def test_interp_equals_generic_spline(self, long_record, n):
+        _, phase = long_record
+        v = np.random.default_rng(n).standard_normal(n)
+        ref = transform.natural_cubic_spline(np.arange(n + 1) / n, np.append(v, v[0]), phase.normalized())
+        assert np.array_equal(transform.interp_phase_to_time(v, phase), ref)
