@@ -120,10 +120,17 @@ def _load_phase(args, parser, signal):
 
 
 def cmd_gen(args, parser) -> int:
-    try:
-        seed = args.seed if args.seed is not None else int(os.environ.get("SHAPEWAVE_SEED", "0"))
-    except ValueError:
-        parser.error(f"SHAPEWAVE_SEED must be an integer, got {os.environ['SHAPEWAVE_SEED']!r}")
+    seed = args.seed
+    if seed is None:
+        env_seed = os.environ.get("SHAPEWAVE_SEED", "0")
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            parser.error(f"SHAPEWAVE_SEED must be an integer, got {env_seed!r}")
+        try:
+            NoiseSpec(seed=seed)
+        except InvalidArgument as exc:
+            parser.error(f"SHAPEWAVE_SEED: {exc}")
     noise = NoiseSpec(sigma=args.sigma, seed=seed)
     n = args.n if args.n is not None else (8192 if args.generator == "duffing" else 4096)
     out = args.out

@@ -20,6 +20,7 @@ from .core import (
     Envelope,
     ExtractionResult,
     FitDiagnostics,
+    NormalizedPhaseGrid,
     PhaseFunction,
     ShapeFunction,
     Signal,
@@ -27,7 +28,14 @@ from .core import (
     normalize_rank1_factors,
 )
 from .errors import DegenerateInput, InvalidArgument, NonConvergence, NonFiniteValue
-from .transform import _band_samples, default_grid_size, interp_phase_to_time, resample_to_phase
+from .transform import (
+    PhaseDomainSignal,
+    _band_samples,
+    _interp_stack,
+    _resample_stack,
+    default_grid_size,
+    forward_spectrum,
+)
 
 #: Cap on the automatically chosen number of harmonic bands.
 MAX_DEFAULT_BANDS = 20
@@ -117,21 +125,29 @@ def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def _band_block(signal: Signal, phase: PhaseFunction, grid_size: int | None, band_limit: int | None):
-    """Resample one record and cut its trimmed bands 0..K, ``l_theta`` samples each.
-
-    ``grid_size`` and ``band_limit`` default as in :func:`extract_shape`.
-    Returns the phase-domain signal (its grid is the n used) and the
-    (K+1) x l_theta band block.  The samples are scaled by
-    ``sqrt(n/l_theta)``, so the column inner products (hence sigma, the
-    right vector and the objective) are those of the n-sample bands.
-    """
-    m = phase.l_theta
-    n = grid_size if grid_size is not None else default_grid_size(signal.n_samples, m)
-    k_max = band_limit if band_limit is not None else default_band_limit(n, m)
+def _grid_and_bands(n_samples: int, l_theta: int, grid_size: int | None, band_limit: int | None):
+    """The grid size n and band count K of a fit, defaulted as in :func:`extract_shape`."""
+    n = grid_size if grid_size is not None else default_grid_size(n_samples, l_theta)
+    k_max = band_limit if band_limit is not None else default_band_limit(n, l_theta)
     if not 1 <= k_max:
         raise InvalidArgument("band limit must be at least 1")
-    pds = resample_to_phase(signal, phase, n)
+    return n, k_max
+
+
+def _band_block(records, n: int, k_max: int):
+    """Resample records that share l_theta, n and K and cut their trimmed bands 0..K.
+
+    ``records`` are (signal, phase) pairs.  One stacked resample, one
+    row-wise FFT and one band cut serve all of them.  Returns the stacked
+    phase-domain signal and the W x (K+1) x l_theta band blocks.  The
+    samples are scaled by ``sqrt(n/l_theta)``, so the column inner products
+    (hence sigma, the right vector and the objective) are those of the
+    n-sample bands.
+    """
+    m = records[0][1].l_theta
+    values = _resample_stack(records, n)
+    pds = PhaseDomainSignal(grid=NormalizedPhaseGrid(n=n), values=values,
+                            spectrum=forward_spectrum(values), l_theta=m)
     return pds, np.sqrt(n / m) * _band_samples(pds, range(k_max + 1), m, True)
 
 
@@ -140,8 +156,9 @@ def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
 
     ``records`` are the (signal, phase) pairs whose band blocks
     ``_band_block`` stacked into ``blocks`` (W x (K+1) x l_theta).  One
-    stacked SVD and one stacked normalization serve all of them; every
-    record's outputs equal those of a stack holding it alone.
+    stacked SVD, one stacked normalization and one stacked back-interpolation
+    serve all of them; every record's outputs equal those of a stack holding
+    it alone.
 
     Returns
     -------
@@ -154,17 +171,19 @@ def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
     if zero_dc:
         blocks[:, 0] = 0.0
     fit = rank_one_fit(_band_matrix(blocks))
-    # zero-pad the envelopes to n points; the trim leaves an even m's bin m/2 empty
-    left = np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2], n)
-
     # the bands live on the shifted variable theta - theta0; rotate the
     # coefficients so each shape is a function of its original phase
     origins = np.array([phase.phase_origin for _, phase in records])
     c_raw = coefficients_from_right_vector(fit.right)
     c_raw *= np.exp(-1j * np.arange(blocks.shape[-2]) * origins[:, None])
-    values_phase, coeffs = normalize_rank1_factors(left, c_raw, fit.sigma1)
-
-    values_time = [interp_phase_to_time(v, phase) for v, (_, phase) in zip(values_phase, records)]
+    # zero-pad the envelopes to n points; the trim leaves an even m's bin m/2 empty
+    values_phase, coeffs = normalize_rank1_factors(
+        np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2], n), c_raw, fit.sigma1)
+    # the back-interpolation's periodically closed grid holds the envelopes, so that no
+    # second copy of them shares memory with its spline
+    closed = np.concatenate((values_phase, values_phase[:, :1]), axis=1)
+    values_phase = closed[:, :-1]
+    values_time = _interp_stack(closed, [phase for _, phase in records])
     return fit, coeffs, values_phase, values_time
 
 
@@ -198,11 +217,12 @@ def extract_shape(
         original phase variable, so the reconstruction is
         ``envelope.values_time * shape(phase.phases)``.
     """
-    # pds is held until the call returns: freed earlier, its 24n bytes let malloc trim the heap,
-    # and the back-interpolation faults them in again (1 600 faults, 7-17 % of 65 536 samples)
-    pds, block = _band_block(signal, phase, grid_size, band_limit)
-    n = pds.grid.n
-    fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], block[None], n, zero_dc)
+    # pds is held until the call returns.  With the five-buffer spline build, freeing it earlier
+    # no longer moves a 65 536-sample call: about 1 800 minor faults either way (the per-record
+    # spline build took 2 900 held and 4 550 freed)
+    n, k_max = _grid_and_bands(signal.n_samples, phase.l_theta, grid_size, band_limit)
+    pds, block = _band_block([(signal, phase)], n, k_max)
+    fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], block, n, zero_dc)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 

@@ -7,7 +7,7 @@ the record boundaries) and is tapered by a raised cosine that falls to zero
 exactly at the segment edges.  Each tapered segment then goes through the
 whole-signal extraction with its own period count, producing one shape
 function per center; segments with equal period count, grid and band limit
-share one stacked rank-1 fit.
+share one stacked resample, rank-1 fit and back-interpolation.
 """
 
 from __future__ import annotations
@@ -18,14 +18,16 @@ import numpy as np
 
 from .core import PhaseFunction, ShapeFunction, Signal, validate_phase, validate_signal
 from .errors import CenterOutOfRange, InvalidArgument, ShapewaveError, WindowTooShort
-from .extract import _band_block, _fit_stack, _padded, _pair_distances
+from .extract import _band_block, _fit_stack, _grid_and_bands, _padded, _pair_distances
 
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
 
-#: Centers cut and fitted per pass: bounds the stacked working set (each
-#: window holds a length-n phase-grid envelope until it is interpolated).
-WINDOW_CHUNK = 16
+#: Centers cut and fitted per pass.  Every window of a stack holds a few
+#: length-n spline buffers at once, so this bounds the working set: on a
+#: default example1 track, 8 raise the peak RSS over per-window splines by
+#: about 0.3 MB, 10 by about 0.9 MB and 16 by about 3 MB.
+WINDOW_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -158,14 +160,14 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
         for i in range(start, min(start + WINDOW_CHUNK, count)):
             try:
                 segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu)
-                pds, block = _band_block(segment, segment_phase, None, band_limit)
             except ShapewaveError as exc:
                 errors[i] = _describe(exc)
                 continue
-            key = (pds.grid.n,) + block.shape
-            groups.setdefault(key, []).append((i, segment, segment_phase, chi, block))
-        for (n, *_), members in groups.items():
-            for i, shape, env, error in _fit_windows(members, n):
+            m = segment_phase.l_theta
+            key = (m, *_grid_and_bands(segment.n_samples, m, None, band_limit))
+            groups.setdefault(key, []).append((i, segment, segment_phase, chi))
+        for (_, n, k_max), members in groups.items():
+            for i, shape, env, error in _fit_windows(members, n, k_max):
                 shapes[i], envelopes[i], errors[i] = shape, env, error
 
     # an out-of-range center has no time; its window failed above
@@ -186,26 +188,31 @@ def _describe(exc: ShapewaveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fit_windows(members, n: int) -> list[tuple]:
-    """Fit windows with equal band blocks as one stack.
+def _fit_windows(members, n: int, k_max: int) -> list[tuple]:
+    """Fit windows that share l_theta, grid n and band count K as one stack.
 
-    ``members`` are (index, segment, segment phase, taper, band block)
-    tuples.  Returns (index, shape, envelope, error text) per window.  A
-    failure of the stack is attributed by fitting its windows one by one, so
-    one bad window never costs its neighbours their fit.
+    ``members`` are (index, segment, segment phase, taper) tuples.  Returns
+    (index, shape, envelope, error text) per window.  A failure of the
+    stack is attributed by fitting its windows one by one, so one bad window
+    never costs its neighbours their fit.
     """
-    records = [(segment, segment_phase) for _, segment, segment_phase, _, _ in members]
+    records = [(segment, segment_phase) for _, segment, segment_phase, _ in members]
     try:
-        _, coeffs, _, values_time = _fit_stack(records, np.stack([m[-1] for m in members]), n)
+        _, blocks = _band_block(records, n, k_max)
+        _, coeffs, _, values_time = _fit_stack(records, blocks, n)
     except ShapewaveError as exc:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]
-        return [out for member in members for out in _fit_windows([member], n)]
+        return [out for member in members for out in _fit_windows([member], n, k_max)]
+    # one store for the stack's de-biased envelopes, allocated after its splines: with an array
+    # per window, malloc returned the splines' freed buffers to the system after every stack,
+    # and a default track took about 3 500 page faults instead of about 500
+    store = np.full(sum(len(env) for env in values_time), np.nan)
     outcomes = []
-    for (i, _, _, chi, _), c, env in zip(members, coeffs, values_time):
-        reliable = chi > TAPER_RELIABLE
-        np.divide(env, chi, out=env, where=reliable)
-        env[~reliable] = np.nan
+    lo = 0
+    for (i, _, _, chi), c, env in zip(members, coeffs, values_time):
+        env = np.divide(env, chi, out=store[lo : lo + len(env)], where=chi > TAPER_RELIABLE)
+        lo += len(env)
         outcomes.append((i, ShapeFunction(coeffs=c), env, None))
     return outcomes
 

@@ -24,7 +24,9 @@ class PhaseDomainSignal:
     """Signal resampled to the uniform phase grid, plus its spectrum.
 
     ``spectrum[i]`` is the coefficient of ``exp(2j*pi*omega*phi)`` for
-    ``omega = i - n/2``, i.e. frequencies run over -n/2 .. n/2-1.
+    ``omega = i - n/2``, i.e. frequencies run over -n/2 .. n/2-1.  The
+    extraction stacks records that share ``l_theta`` and the grid: ``values``
+    and ``spectrum`` then carry one row per record.
     """
 
     grid: NormalizedPhaseGrid
@@ -44,13 +46,14 @@ class DemodulatedBand:
 def forward_spectrum(values) -> np.ndarray:
     """Discrete spectrum ``sum_j values[j] * exp(-2j*pi*omega*j/n)``.
 
-    Returned in increasing frequency order, omega = -n/2 .. n/2-1.
+    Returned in increasing frequency order, omega = -n/2 .. n/2-1.  A stack
+    of records is transformed row by row along its last axis.
     """
     values = np.asarray(values)
-    n = len(values)
+    n = values.shape[-1]
     if not 1 <= n or n & (n - 1):
         raise InvalidArgument(f"length must be a power of two, got {n}")
-    return np.fft.fftshift(np.fft.fft(values))
+    return np.fft.fftshift(np.fft.fft(values), axes=-1)
 
 
 def natural_cubic_spline(x, y, xq) -> np.ndarray:
@@ -65,38 +68,106 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
 
     Raises
     ------
+    InvalidArgument
+        If ``x`` decreases anywhere (the spline core would read a new node set there).
     DegenerateInput
         If LAPACK reports the slope system singular.
     """
     x, y, xq = (np.asarray(a, dtype=float) for a in (x, y, xq))
+    if np.any(x[1:] < x[:-1]):
+        raise InvalidArgument("spline nodes must be increasing")
     return _spline(x, y, xq.ravel(), np.searchsorted(x[1:-1], xq.ravel(), "right")).reshape(xq.shape)
 
 
 def _spline(x, y, xq, i) -> np.ndarray:
-    """:func:`natural_cubic_spline` of float arrays at a 1-D ``xq``, whose intervals
-    ``i = searchsorted(x[1:-1], xq, "right")`` the caller supplies."""
+    """:func:`natural_cubic_spline` of a stack of node sets, at a 1-D ``xq``.
+
+    ``x`` and ``y`` concatenate the node sets, each strictly increasing with at
+    least two nodes; a new set starts wherever ``x`` drops.  The caller
+    supplies each query's interval as an index into the concatenation: its
+    set's ``searchsorted(x_set[1:-1], xq, "right")`` plus the set's offset.
+    The pieces are summed in place, in blocks of at most 8 192 queries, in
+    the order ``y_i + s_i*u + c1*u**2 + c0*u**3``.
+    """
+    s, c1, c0 = _spline_pieces(x, y)
+    out = np.empty(len(xq))
+    # blocks whose gathers and temporaries stay in cache, split evenly so that a stack's
+    # temporaries are no larger than its queries need
+    blocks = -(-len(xq) // 8192)
+    size = -(-len(xq) // blocks) if blocks else 1
+    for lo in range(0, len(xq), size):
+        b = slice(lo, lo + size)
+        ib = i[b]
+        u = np.subtract(xq[b], x.take(ib))
+        acc = np.multiply(s.take(ib), u, out=out[b])
+        acc += y.take(ib)
+        u2 = u * u
+        term = c1.take(ib)
+        term *= u2
+        acc += term
+        u2 *= u
+        term = c0.take(ib)
+        term *= u2
+        acc += term
+    return out
+
+
+def _spline_pieces(x, y):
+    """Node slopes and the u**2 and u**3 coefficients of every interval of :func:`_spline`.
+
+    All slope systems are solved as one block-diagonal tridiagonal system.
+    At a seam the coupling entries are 0, and the rows on both sides are the
+    natural end rows of their sets.  ``dgtsv`` needs no row interchange
+    across a zero sub-diagonal entry, and what it carries across the seam is
+    exact zeros, so each set's slopes, and hence its spline, are bitwise
+    those of the set solved alone.
+
+    Five length-n buffers serve the whole build, filled in place in the
+    single-set operation order.  The secant slopes are computed twice, into
+    the sub-diagonal before it is filled and after it is spent, and the
+    coefficients take the spent system's buffers.
+    """
+    n = len(x)
     dx = np.diff(x)
-    slope = np.diff(y) / dx
-    # rows i = 1..n-2 balance the second derivative across node i; the end
-    # rows set it to zero
-    diag = np.concatenate(([2 * dx[0]], 2 * (dx[:-1] + dx[1:]), [2 * dx[-1]]))
-    upper = np.concatenate((dx[:1], dx[:-1]))
-    lower = np.concatenate((dx[1:], dx[-1:]))
-    rhs = np.concatenate(([3 * (y[1] - y[0])], 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]),
-                          [3 * (y[-1] - y[-2])]))
-    *_, s, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
+    # rows balance the second derivative across their node; each set's end rows set it to zero
+    last = np.append(np.flatnonzero(dx < 0), n - 1)
+    first = np.concatenate(([0], last[:-1] + 1))
+    lower, diag, upper, rhs = np.empty(n - 1), np.empty(n), np.empty(n - 1), np.empty(n)
+    slope = np.subtract(y[1:], y[:-1], out=lower)
+    slope /= dx
+    np.multiply(dx[1:], slope[:-1], out=rhs[1:-1])
+    rhs[1:-1] += np.multiply(dx[:-1], slope[1:], out=diag[1:-1])
+    rhs[1:-1] *= 3
+    rhs[first] = 3 * (y[first + 1] - y[first])
+    rhs[last] = 3 * (y[last] - y[last - 1])
+    np.add(dx[:-1], dx[1:], out=diag[1:-1])
+    diag[1:-1] *= 2
+    diag[first] = 2 * dx[first]
+    diag[last] = 2 * dx[last - 1]
+    upper[1:] = dx[:-1]
+    upper[first] = dx[first]
+    upper[last[:-1]] = 0.0
+    lower[:-1] = dx[1:]
+    lower[last - 1] = dx[last - 1]
+    lower[last[:-1]] = 0.0
+    lower, diag, upper, s, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
     if info:
         raise DegenerateInput(f"spline slope system is singular (LAPACK dgtsv info {info})")
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    c0 = t / dx
-    c1 = (slope - s[:-1]) / dx - t
-    out = np.empty(len(xq))
-    for lo in range(0, len(xq), 8192):  # blocks whose gathers and temporaries stay in cache
-        b = slice(lo, lo + 8192)
-        ib = i[b]
-        u = xq[b] - x[ib]
-        out[b] = y[ib] + s[ib] * u + c1[ib] * (u * u) + c0[ib] * (u * u * u)
-    return out
+    slope = np.subtract(y[1:], y[:-1], out=lower)
+    slope /= dx
+    t = np.add(s[:-1], s[1:], out=diag[:-1])
+    t -= np.multiply(slope, 2, out=upper)
+    t /= dx
+    c1 = slope
+    c1 -= s[:-1]
+    c1 /= dx
+    c1 -= t
+    return s, c1, np.divide(t, dx, out=upper)
+
+
+def _joined(parts) -> np.ndarray:
+    """The concatenation of ``parts``; a single part is passed through uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def default_grid_size(n_samples: int, l_theta: int) -> int:
@@ -111,29 +182,46 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDoma
     ``phi_j = j/n``.  The grid must be a power of two with ``n >= 4*l_theta``
     so every harmonic band up to the first is resolvable.
 
-    Query j's interval counts the interior nodes with ``phi_l <= j/n``, i.e.
-    ``ceil(phi_l*n) <= j``: a running sum of a ``bincount``.  This is exact:
-    n is a power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
-
     Raises
     ------
     GridTooCoarse
         If ``n < 4 * l_theta``.
     """
-    if not 1 <= n or n & (n - 1):
-        raise InvalidArgument(f"grid size must be a power of two, got {n}")
-    if n < 4 * phase.l_theta:
-        raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * phase.l_theta}")
-    grid = NormalizedPhaseGrid(n=n)
-    phi = phase.normalized()
-    first = np.ceil(phi[1:-1] * n).clip(0, n).astype(np.intp)
-    values = _spline(phi, signal.values, grid.nodes, np.cumsum(np.bincount(first, minlength=n + 1)[:n]))
+    values = _resample_stack([(signal, phase)], n)[0]
     return PhaseDomainSignal(
-        grid=grid,
+        grid=NormalizedPhaseGrid(n=n),
         values=values,
         spectrum=forward_spectrum(values),
         l_theta=phase.l_theta,
     )
+
+
+def _resample_stack(records, n: int) -> np.ndarray:
+    """:func:`resample_to_phase` values of (signal, phase) records, one row each.
+
+    All records are resampled by one stacked spline.  Query j of a record
+    lies in the interval that counts its interior nodes with
+    ``phi_l <= j/n``, i.e. ``ceil(phi_l*n) <= j``: a running sum of a
+    ``bincount``, offset by the nodes of the records before it.  This is
+    exact: n is a power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
+    """
+    if not 1 <= n or n & (n - 1):
+        raise InvalidArgument(f"grid size must be a power of two, got {n}")
+    l_theta = max(phase.l_theta for _, phase in records)
+    if n < 4 * l_theta:
+        raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * l_theta}")
+    x = _joined([phase.normalized() for _, phase in records])
+    index = np.empty((len(records), n), dtype=np.intp)
+    lo = 0
+    for row, (_, phase) in zip(index, records):
+        hi = lo + len(phase.phases)
+        first = np.ceil(x[lo + 1 : hi - 1] * n).clip(0, n).astype(np.intp)
+        np.cumsum(np.bincount(first, minlength=n + 1)[:n], out=row)
+        row += lo
+        lo = hi
+    values = _joined([signal.values for signal, _ in records])
+    grid = NormalizedPhaseGrid(n=n).nodes
+    return _spline(x, values, _joined([grid] * len(records)), index.ravel()).reshape(len(records), n)
 
 
 def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
@@ -164,11 +252,13 @@ def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) ->
     """Bands ``ks`` at baseband, one row per band, sampled at phi = j/size.
 
     ``ks`` is one band or a run of consecutive bands; the end farthest from
-    0 is checked against Nyquist before any row is allocated.  ``size`` is n, or l_theta once trimmed.  For even ``l_theta`` a band's
-    lowest bin has no conjugate partner inside the band; ``trim_unpaired``
-    drops it, since the model's envelope spectrum vanishes there.  Every
-    band has the same bin offsets relative to ``k*l_theta``, so all of them
-    are gathered with one index and transformed with one inverse FFT.
+    0 is checked against Nyquist before any row is allocated.  ``size`` is
+    n, or l_theta once trimmed.  For even ``l_theta`` a band's lowest bin has
+    no conjugate partner inside the band; ``trim_unpaired`` drops it, since
+    the model's envelope spectrum vanishes there.  Every band has the same
+    bin offsets relative to ``k*l_theta``, so all of them are gathered with
+    one index and transformed with one inverse FFT.  A stacked ``pds`` gives
+    one such block of rows per record.
     """
     n, l_theta = pds.grid.n, pds.l_theta
     k_far = int(max(ks[0], ks[-1], key=abs))
@@ -177,9 +267,9 @@ def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) ->
     offsets = np.arange(lo, hi + 1) - k_far * l_theta
     if trim_unpaired and l_theta % 2 == 0:
         offsets = offsets[1:]
-    buf = np.zeros((len(ks), size), dtype=complex)
-    buf[:, offsets % size] = pds.spectrum[ks[:, None] * l_theta + offsets + n // 2]
-    return np.fft.ifft(buf, axis=1) * (size / n)
+    buf = np.zeros(pds.spectrum.shape[:-1] + (len(ks), size), dtype=complex)
+    buf[..., offsets % size] = pds.spectrum[..., ks[:, None] * l_theta + offsets + n // 2]
+    return np.fft.ifft(buf, axis=-1) * (size / n)
 
 
 def extract_demodulated_band(pds: PhaseDomainSignal, k: int) -> DemodulatedBand:
@@ -199,16 +289,29 @@ def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
     The phase grid is closed periodically at phi = 1 (every quantity carried
     on it is one record-period of a periodic function), then a natural cubic
     spline is evaluated at ``phi(t_l)``.
-
-    The nodes are ``k/n``, so ``phi`` lies in interval ``floor(phi*n)``, capped at n-1, up to
-    the rounding of ``phi*n`` and ``k/n`` when n is not a power of two; one step against
-    the nodes themselves (open at both ends) undoes that, so the index is exact.
     """
     values_phase = np.asarray(values_phase, dtype=float)
-    n = len(values_phase)
+    return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase])[0]
+
+
+def _interp_stack(closed: np.ndarray, phases) -> list:
+    """:func:`interp_phase_to_time` of each row of ``closed`` at its own phase.
+
+    Row r holds the samples at the nodes ``k/n``, k = 0..n, the grid closed
+    periodically (its last sample is its first).  All rows share the nodes,
+    and one stacked spline serves them.  A phi lies in interval
+    ``floor(phi*n)``, capped at n-1, up to the rounding of ``phi*n`` and
+    ``k/n`` when n is not a power of two; one step against the nodes
+    themselves (open at both ends) undoes that, so the index is exact.  Row
+    r's index is then offset by ``r*(n+1)``.
+    """
+    n = closed.shape[-1] - 1
     nodes = np.arange(n + 1) / n
-    phi = phase.normalized()
     bounds = np.concatenate(([-np.inf], nodes[1:-1], [np.inf]))
+    phi = _joined([phase.normalized() for phase in phases])
     i = (phi * n).clip(0, n - 1).astype(np.intp)
-    i = i - (bounds[i] > phi) + (bounds[i + 1] <= phi)
-    return _spline(nodes, np.append(values_phase, values_phase[0]), phi, i)
+    i -= bounds[i] > phi
+    i += bounds[i + 1] <= phi
+    lengths = [len(phase.phases) for phase in phases]
+    i += np.repeat(np.arange(len(phases)) * (n + 1), lengths)
+    return np.split(_spline(_joined([nodes] * len(phases)), closed.ravel(), phi, i), np.cumsum(lengths[:-1]))

@@ -57,6 +57,13 @@ class TestGen:
         if value == "abc":
             assert "SHAPEWAVE_SEED must be an integer, got 'abc'" in err
 
+    def test_negative_env_seed_names_its_source(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SHAPEWAVE_SEED", "-1")
+        assert run(["gen", "example1", "--sigma", 0.1, "--out", tmp_path / "y.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "SHAPEWAVE_SEED: seed must be >= 0, got -1" in err and "Traceback" not in err
+        assert not (tmp_path / "y.csv").exists()
+
     def test_morph_writes_phase(self, tmp_path):
         out = tmp_path / "m.csv"
         assert run(["gen", "morph", "--n", 2048, "--l-theta", 16, "--out", out]) == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import shapewave as sw
 from shapewave import transform
+from shapewave.errors import InvalidArgument
 
 from conftest import make_tone, spectrum_frequencies
 
@@ -296,6 +297,11 @@ class TestNaturalCubicSpline:
         y = np.array([1.5, -0.5, 2.5])[:nodes]
         self.assert_matches_scipy(x, y, np.linspace(-0.5, 2.5, 31))
 
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [2.0, 1.0, 0.0], [0.0, 2.0, 1.0, 3.0]])
+    def test_decreasing_nodes_are_typed_error(self, x):
+        with pytest.raises(InvalidArgument, match="spline nodes must be increasing"):
+            transform.natural_cubic_spline(x, np.arange(len(x), dtype=float), [0.5])
+
     def test_singular_system_is_typed_error(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(sw.DegenerateInput):
             transform.natural_cubic_spline([0.0, 0.0], [1.0, 2.0], [0.5])
@@ -356,6 +362,29 @@ class TestSplineIntervals:
         assert xq[0] == 0.0 and xq[-1] == 1.0
         np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], xq, "right"))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), log_n=st.integers(2, 10), count=st.integers(2, 4))
+    def test_stacked_indices_are_offset_searchsorted(self, data, log_n, count):
+        n = 1 << log_n
+        records = [unit_phase(data.draw(node_adjacent(n))) for _ in range(count)]
+        lengths = [len(phase.phases) for _, phase in records]
+        starts = np.cumsum([0] + lengths[:-1])
+
+        x, xq, i = spline_call(lambda: transform._resample_stack(records, n))
+        grid = np.arange(n) / n
+        np.testing.assert_array_equal(xq, np.tile(grid, count))
+        expected = [np.searchsorted(x[lo + 1 : lo + size - 1], grid, "right") + lo
+                    for lo, size in zip(starts, lengths)]
+        np.testing.assert_array_equal(i, np.concatenate(expected))
+
+        closed = np.cos(np.arange(count * (n + 1))).reshape(count, n + 1)
+        x, xq, i = spline_call(lambda: transform._interp_stack(closed, [p for _, p in records]))
+        nodes = np.arange(n + 1) / n
+        np.testing.assert_array_equal(x, np.tile(nodes, count))
+        expected = [np.searchsorted(nodes[1:-1], xq[lo : lo + size], "right") + r * (n + 1)
+                    for r, (lo, size) in enumerate(zip(starts, lengths))]
+        np.testing.assert_array_equal(i, np.concatenate(expected))
+
     @pytest.fixture(scope="class")
     def long_record(self):
         """20 000 samples: several 8 192-query blocks and a partial last one."""
@@ -378,3 +407,35 @@ class TestSplineIntervals:
         v = np.random.default_rng(n).standard_normal(n)
         ref = transform.natural_cubic_spline(np.arange(n + 1) / n, np.append(v, v[0]), phase.normalized())
         assert np.array_equal(transform.interp_phase_to_time(v, phase), ref)
+
+
+@st.composite
+def record_stack(draw):
+    """1-5 records of different lengths (down to MIN_SAMPLES) with random, uneven node gaps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records = []
+    for length in draw(st.lists(st.integers(sw.core.MIN_SAMPLES, 400), min_size=1, max_size=5)):
+        gaps = rng.uniform(0.05, 1.0, length - 1) ** 3
+        phases = rng.uniform(-50.0, 50.0) + np.concatenate(([0.0], np.cumsum(gaps)))
+        signal = sw.validate_signal(np.arange(length, dtype=float), rng.standard_normal(length))
+        records.append((signal, sw.PhaseFunction(phases, 1)))
+    return records
+
+
+class TestStackedSpline:
+    """Each row of a stacked spline equals the spline of its record alone, bit for bit."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(records=record_stack(), log_n=st.integers(2, 10), n_interp=st.integers(2, 600))
+    def test_rows_equal_single_record_splines(self, records, log_n, n_interp):
+        n = 1 << log_n
+        stacked = transform._resample_stack(records, n)
+        assert stacked.shape == (len(records), n)
+        for row, (signal, phase) in zip(stacked, records):
+            assert np.array_equal(row, sw.resample_to_phase(signal, phase, n).values)
+
+        values = np.sin(np.arange(len(records) * n_interp) * 0.7).reshape(len(records), n_interp)
+        closed = np.concatenate((values, values[:, :1]), axis=1)
+        rows = transform._interp_stack(closed, [phase for _, phase in records])
+        for row, v, (_, phase) in zip(rows, values, records):
+            assert np.array_equal(row, sw.interp_phase_to_time(v, phase))
