@@ -183,8 +183,7 @@ def validate_signal(times, values) -> Signal:
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape or times.ndim != 1:
         raise MismatchedLengths("times and values must be 1-d sequences of equal length")
-    if len(times) < MIN_SAMPLES:
-        raise TooShort(f"need at least {MIN_SAMPLES} samples, got {len(times)}")
+    _check_sample_count(len(times))
     for name, arr in (("times", times), ("values", values)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if len(bad):
@@ -213,6 +212,17 @@ def validate_phase(signal: Signal, phases) -> PhaseFunction:
     bad = np.flatnonzero(steps <= 0)
     if len(bad):
         raise NonMonotonePhase(f"phase not strictly increasing at index {bad[0] + 1}")
+    return PhaseFunction(phases=phases, l_theta=_whole_periods(phases))
+
+
+def _check_sample_count(count: int) -> None:
+    """The sample-count rule of a record or window: at least ``MIN_SAMPLES``."""
+    if count < MIN_SAMPLES:
+        raise TooShort(f"need at least {MIN_SAMPLES} samples, got {count}")
+
+
+def _whole_periods(phases: np.ndarray) -> int:
+    """``l_theta`` of increasing phases: near a whole number of periods, at least ``MIN_PERIODS``."""
     periods = (phases[-1] - phases[0]) / (2.0 * np.pi)
     l_theta = int(round(periods))
     if abs(periods - l_theta) > PERIOD_TOLERANCE:
@@ -222,7 +232,7 @@ def validate_phase(signal: Signal, phases) -> PhaseFunction:
         )
     if l_theta < MIN_PERIODS:
         raise TooFewPeriods(f"need at least {MIN_PERIODS} periods, got {l_theta}")
-    return PhaseFunction(phases=phases, l_theta=l_theta)
+    return l_theta
 
 
 def normalize_rank1_factors(a_raw, c_raw, s1):

@@ -12,6 +12,7 @@ fitted as one stack of such matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .core import (
     Envelope,
     ExtractionResult,
     FitDiagnostics,
-    NormalizedPhaseGrid,
     PhaseFunction,
     ShapeFunction,
     Signal,
@@ -29,8 +29,8 @@ from .core import (
 )
 from .errors import DegenerateInput, InvalidArgument, NonConvergence, NonFiniteValue
 from .transform import (
-    PhaseDomainSignal,
     _band_samples,
+    _check_power_of_two,
     _interp_stack,
     _resample_stack,
     default_grid_size,
@@ -127,38 +127,25 @@ def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
 
 def _grid_and_bands(n_samples: int, l_theta: int, grid_size: int | None, band_limit: int | None):
     """The grid size n and band count K of a fit, defaulted as in :func:`extract_shape`."""
+    if grid_size is not None:
+        _check_power_of_two(grid_size, "grid size")
     n = grid_size if grid_size is not None else default_grid_size(n_samples, l_theta)
     k_max = band_limit if band_limit is not None else default_band_limit(n, l_theta)
-    if not 1 <= k_max:
-        raise InvalidArgument("band limit must be at least 1")
+    if not isinstance(k_max, numbers.Integral) or not 1 <= k_max:
+        raise InvalidArgument(f"band limit must be at least 1 and an integer, got {k_max}")
     return n, k_max
 
 
-def _band_block(records, n: int, k_max: int):
-    """Resample records that share l_theta, n and K and cut their trimmed bands 0..K.
+def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):
+    """Fit records that share l_theta, grid n and band count K as one stack.
 
     ``records`` are (signal, phase) pairs.  One stacked resample, one
-    row-wise FFT and one band cut serve all of them.  Returns the stacked
-    phase-domain signal and the W x (K+1) x l_theta band blocks.  The
-    samples are scaled by ``sqrt(n/l_theta)``, so the column inner products
+    row-wise FFT and one band cut give their W x (K+1) x l_theta band
+    blocks, scaled by ``sqrt(n/l_theta)`` so that the column inner products
     (hence sigma, the right vector and the objective) are those of the
-    n-sample bands.
-    """
-    m = records[0][1].l_theta
-    values = _resample_stack(records, n)
-    pds = PhaseDomainSignal(grid=NormalizedPhaseGrid(n=n), values=values,
-                            spectrum=forward_spectrum(values), l_theta=m)
-    return pds, np.sqrt(n / m) * _band_samples(pds, range(k_max + 1), m, True)
-
-
-def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
-    """Rank-1 fit and normalization of records that share l_theta, grid n and K.
-
-    ``records`` are the (signal, phase) pairs whose band blocks
-    ``_band_block`` stacked into ``blocks`` (W x (K+1) x l_theta).  One
-    stacked SVD, one stacked normalization and one stacked back-interpolation
-    serve all of them; every record's outputs equal those of a stack holding
-    it alone.
+    n-sample bands.  One stacked SVD, one stacked normalization and one
+    stacked back-interpolation follow; every record's outputs equal those of
+    a stack holding it alone.
 
     Returns
     -------
@@ -167,7 +154,9 @@ def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
         phase-grid envelopes (W x n) and each record's envelope on its own
         time grid.
     """
-    m = blocks.shape[-1]
+    m = records[0][1].l_theta
+    blocks = _band_samples(forward_spectrum(_resample_stack(records, n)), m, range(k_max + 1), m, True)
+    blocks *= np.sqrt(n / m)
     if zero_dc:
         blocks[:, 0] = 0.0
     fit = rank_one_fit(_band_matrix(blocks))
@@ -175,7 +164,7 @@ def _fit_stack(records, blocks: np.ndarray, n: int, zero_dc: bool = False):
     # coefficients so each shape is a function of its original phase
     origins = np.array([phase.phase_origin for _, phase in records])
     c_raw = coefficients_from_right_vector(fit.right)
-    c_raw *= np.exp(-1j * np.arange(blocks.shape[-2]) * origins[:, None])
+    c_raw *= np.exp(-1j * np.arange(k_max + 1) * origins[:, None])
     # zero-pad the envelopes to n points; the trim leaves an even m's bin m/2 empty
     values_phase, coeffs = normalize_rank1_factors(
         np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2], n), c_raw, fit.sigma1)
@@ -217,12 +206,8 @@ def extract_shape(
         original phase variable, so the reconstruction is
         ``envelope.values_time * shape(phase.phases)``.
     """
-    # pds is held until the call returns.  With the five-buffer spline build, freeing it earlier
-    # no longer moves a 65 536-sample call: about 1 800 minor faults either way (the per-record
-    # spline build took 2 900 held and 4 550 freed)
     n, k_max = _grid_and_bands(signal.n_samples, phase.l_theta, grid_size, band_limit)
-    pds, block = _band_block([(signal, phase)], n, k_max)
-    fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], block, n, zero_dc)
+    fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], n, k_max, zero_dc)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 

@@ -12,13 +12,14 @@ share one stacked resample, rank-1 fit and back-interpolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PhaseFunction, ShapeFunction, Signal, validate_phase, validate_signal
+from .core import PhaseFunction, ShapeFunction, Signal, _check_sample_count, _whole_periods
 from .errors import CenterOutOfRange, InvalidArgument, ShapewaveError, WindowTooShort
-from .extract import _band_block, _fit_stack, _grid_and_bands, _padded, _pair_distances
+from .extract import _fit_stack, _grid_and_bands, _padded, _pair_distances
 
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
@@ -65,16 +66,26 @@ def raised_cosine_taper(delta_theta, half_periods_left: int, half_periods_right:
     return 0.5 * (1.0 + np.cos(delta_theta / scale))
 
 
+def _half_periods(mu) -> int:
+    """The whole periods per side of a window of half-width ``mu``: ``floor(mu)``, for 1 <= mu < inf."""
+    if not 1.0 <= mu < np.inf:
+        raise InvalidArgument(f"mu must be >= 1, got {mu}")
+    return int(mu)
+
+
 def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float = 3.0):
-    """Cut and taper the phase-localized segment around sample ``center``.
+    """Cut and taper the phase-localized segment around sample ``center`` of a validated record.
+
+    A window is a run of the record's samples, so it is checked only for its
+    sample count and its whole-period count.
 
     Parameters
     ----------
     center : int
         Index of the center sample.
     mu : float
-        Window half-width in whole periods; ``floor(mu)`` periods are taken
-        on each side, fewer where the record ends (always a whole number).
+        Window half-width in whole periods, 1 <= mu < inf; ``floor(mu)``
+        periods are taken on each side, fewer where the record ends.
 
     Returns
     -------
@@ -84,14 +95,21 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
 
     Raises
     ------
+    InvalidArgument
+        If ``mu`` is out of range or ``center`` is not a whole number.
     CenterOutOfRange
         If ``center`` is not a sample index of the record.
     WindowTooShort
         If fewer than two whole periods are available around the center.
+    TooShort, NotNearIntegerPeriods, TooFewPeriods
+        If the window fails a record's sample-count or period-count rule.
     """
+    half = _half_periods(mu)
+    if not (math.isfinite(center) and center == int(center)):
+        raise InvalidArgument(f"center must be a whole sample index, got {center}")
+    center = int(center)
     if not 0 <= center < signal.n_samples:
         raise CenterOutOfRange(f"center index {center} out of range for {signal.n_samples} samples")
-    half = int(mu)
     theta = phase.phases
     theta_m = theta[center]
     # count whole periods tolerantly so boundary samples are not lost to
@@ -108,9 +126,9 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     # the phase increases strictly, so the window is one run of samples
     idx = slice(np.searchsorted(theta, lo - eps, "left"), np.searchsorted(theta, hi + eps, "right"))
     chi = raised_cosine_taper(theta[idx] - theta_m, periods_left, periods_right)
-    segment = validate_signal(signal.times[idx], signal.values[idx] * chi)
-    segment_phase = validate_phase(segment, theta[idx])
-    return segment, segment_phase, chi
+    _check_sample_count(len(chi))
+    segment_phase = PhaseFunction(phases=theta[idx], l_theta=_whole_periods(theta[idx]))
+    return Signal(times=signal.times[idx], values=signal.values[idx] * chi), segment_phase, chi
 
 
 def default_centers(signal: Signal, phase: PhaseFunction, mu: float = 3.0) -> np.ndarray:
@@ -121,7 +139,7 @@ def default_centers(signal: Signal, phase: PhaseFunction, mu: float = 3.0) -> np
     """
     samples_per_period = signal.n_samples / phase.l_theta
     stride = max(1, int(round(samples_per_period / 8.0)))
-    margin = 2.0 * np.pi * int(mu)
+    margin = 2.0 * np.pi * _half_periods(mu)
     theta = phase.phases
     ok = (theta - theta[0] >= margin) & (theta[-1] - theta >= margin)
     candidates = np.arange(0, signal.n_samples, stride)
@@ -142,14 +160,18 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     one stack, ``WINDOW_CHUNK`` centers at a time.  Each window's shape and
     envelope equal those of :func:`extract_shape` on its own segment with the
     same ``band_limit``, and each drift equals :func:`shape_distance` of its pair.
-    A ``mu`` or ``band_limit`` out of range raises :class:`InvalidArgument`.
+    A ``mu`` or ``band_limit`` out of range, or a NaN or infinite center,
+    raises :class:`InvalidArgument`; finite centers are truncated to sample
+    indices.
     """
-    if not 1.0 <= mu < np.inf:
-        raise InvalidArgument(f"mu must be >= 1, got {mu}")
+    _half_periods(mu)
     if centers is None:
         center_idx = default_centers(signal, phase, mu)
     else:
-        center_idx = np.asarray(sorted(int(c) for c in centers), dtype=int)
+        try:
+            center_idx = np.asarray(sorted(int(c) for c in centers), dtype=int)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidArgument(f"centers must be finite sample indices: {exc}") from exc
 
     count = len(center_idx)
     shapes: list[ShapeFunction | None] = [None] * count
@@ -198,8 +220,7 @@ def _fit_windows(members, n: int, k_max: int) -> list[tuple]:
     """
     records = [(segment, segment_phase) for _, segment, segment_phase, _ in members]
     try:
-        _, blocks = _band_block(records, n, k_max)
-        _, coeffs, _, values_time = _fit_stack(records, blocks, n)
+        _, coeffs, _, values_time = _fit_stack(records, n, k_max)
     except ShapewaveError as exc:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]

@@ -10,6 +10,7 @@ the envelope scaled by the k-th shape coefficient.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,7 @@ class PhaseDomainSignal:
     """Signal resampled to the uniform phase grid, plus its spectrum.
 
     ``spectrum[i]`` is the coefficient of ``exp(2j*pi*omega*phi)`` for
-    ``omega = i - n/2``, i.e. frequencies run over -n/2 .. n/2-1.  The
-    extraction stacks records that share ``l_theta`` and the grid: ``values``
-    and ``spectrum`` then carry one row per record.
+    ``omega = i - n/2``, i.e. frequencies run over -n/2 .. n/2-1.
     """
 
     grid: NormalizedPhaseGrid
@@ -50,10 +49,14 @@ def forward_spectrum(values) -> np.ndarray:
     of records is transformed row by row along its last axis.
     """
     values = np.asarray(values)
-    n = values.shape[-1]
-    if not 1 <= n or n & (n - 1):
-        raise InvalidArgument(f"length must be a power of two, got {n}")
+    _check_power_of_two(values.shape[-1], "length")
     return np.fft.fftshift(np.fft.fft(values), axes=-1)
+
+
+def _check_power_of_two(n, name: str) -> None:
+    """The grid-size rule: an integer power of two."""
+    if not isinstance(n, numbers.Integral) or not 1 <= n or n & (n - 1):
+        raise InvalidArgument(f"{name} must be a power of two, got {n}")
 
 
 def natural_cubic_spline(x, y, xq) -> np.ndarray:
@@ -205,8 +208,7 @@ def _resample_stack(records, n: int) -> np.ndarray:
     ``bincount``, offset by the nodes of the records before it.  This is
     exact: n is a power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
     """
-    if not 1 <= n or n & (n - 1):
-        raise InvalidArgument(f"grid size must be a power of two, got {n}")
+    _check_power_of_two(n, "grid size")
     l_theta = max(phase.l_theta for _, phase in records)
     if n < 4 * l_theta:
         raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * l_theta}")
@@ -248,8 +250,8 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) -> np.ndarray:
-    """Bands ``ks`` at baseband, one row per band, sampled at phi = j/size.
+def _band_samples(spectrum: np.ndarray, l_theta: int, ks, size: int, trim_unpaired: bool) -> np.ndarray:
+    """Bands ``ks`` of a :func:`forward_spectrum` at baseband, one row per band, sampled at phi = j/size.
 
     ``ks`` is one band or a run of consecutive bands; the end farthest from
     0 is checked against Nyquist before any row is allocated.  ``size`` is
@@ -257,18 +259,18 @@ def _band_samples(pds: PhaseDomainSignal, ks, size: int, trim_unpaired: bool) ->
     no conjugate partner inside the band; ``trim_unpaired`` drops it, since
     the model's envelope spectrum vanishes there.  Every band has the same
     bin offsets relative to ``k*l_theta``, so all of them are gathered with
-    one index and transformed with one inverse FFT.  A stacked ``pds`` gives
-    one such block of rows per record.
+    one index and transformed with one inverse FFT.  A stacked ``spectrum``
+    gives one such block of rows per record.
     """
-    n, l_theta = pds.grid.n, pds.l_theta
+    n = spectrum.shape[-1]
     k_far = int(max(ks[0], ks[-1], key=abs))
     lo, hi = band_indices(k_far, l_theta, n)
     ks = np.asarray(ks)
     offsets = np.arange(lo, hi + 1) - k_far * l_theta
     if trim_unpaired and l_theta % 2 == 0:
         offsets = offsets[1:]
-    buf = np.zeros(pds.spectrum.shape[:-1] + (len(ks), size), dtype=complex)
-    buf[..., offsets % size] = pds.spectrum[..., ks[:, None] * l_theta + offsets + n // 2]
+    buf = np.zeros(spectrum.shape[:-1] + (len(ks), size), dtype=complex)
+    buf[..., offsets % size] = spectrum[..., ks[:, None] * l_theta + offsets + n // 2]
     return np.fft.ifft(buf, axis=-1) * (size / n)
 
 
@@ -280,7 +282,7 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int) -> DemodulatedBand:
     ``g_k`` approximates the envelope times the k-th shape coefficient.
     The bands keep every bin, so they tile the frequency axis exactly.
     """
-    return DemodulatedBand(k=k, values=_band_samples(pds, [k], pds.grid.n, False)[0])
+    return DemodulatedBand(k=k, values=_band_samples(pds.spectrum, pds.l_theta, [k], pds.grid.n, False)[0])
 
 
 def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
@@ -291,6 +293,8 @@ def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
     spline is evaluated at ``phi(t_l)``.
     """
     values_phase = np.asarray(values_phase, dtype=float)
+    if values_phase.ndim != 1 or not len(values_phase):
+        raise InvalidArgument("phase-grid samples must be a non-empty 1-d sequence")
     return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase])[0]
 
 

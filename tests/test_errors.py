@@ -17,10 +17,25 @@ def test_invalid_argument_is_value_error_not_domain_error():
 CASES = {
     "track-mu-nan": lambda s, p: sw.extract_shape_track(s, p, mu=NAN),
     "track-mu-inf": lambda s, p: sw.extract_shape_track(s, p, mu=np.inf),
+    "track-center-nan": lambda s, p: sw.extract_shape_track(s, p, centers=[NAN]),
+    "track-center-inf": lambda s, p: sw.extract_shape_track(s, p, centers=[2048, np.inf]),
+    "track-band-limit-fraction": lambda s, p: sw.extract_shape_track(s, p, centers=[2048], band_limit=2.5),
+    "window-mu-nan": lambda s, p: sw.window_segment(s, p, 2048, mu=NAN),
+    "window-mu-inf": lambda s, p: sw.window_segment(s, p, 2048, mu=np.inf),
+    "window-mu-negative": lambda s, p: sw.window_segment(s, p, 2048, mu=-1),
+    "window-center-fraction": lambda s, p: sw.window_segment(s, p, 2048.5),
+    "window-center-nan": lambda s, p: sw.window_segment(s, p, NAN),
+    "window-center-inf": lambda s, p: sw.window_segment(s, p, np.inf),
+    "default-centers-mu-nan": lambda s, p: sw.localized.default_centers(s, p, mu=NAN),
     "band-limit-0": lambda s, p: sw.extract_shape(s, p, band_limit=0),
+    "band-limit-inf": lambda s, p: sw.extract_shape(s, p, band_limit=np.inf),
+    "band-limit-fraction": lambda s, p: sw.extract_shape(s, p, band_limit=2.5),
     "grid-0": lambda s, p: sw.extract_shape(s, p, grid_size=0),
+    "grid-float": lambda s, p: sw.extract_shape(s, p, grid_size=4096.0),
     "grid-negative": lambda s, p: sw.resample_to_phase(s, p, -4),
+    "resample-grid-float": lambda s, p: sw.resample_to_phase(s, p, 4096.0),
     "spectrum-empty": lambda s, p: sw.forward_spectrum([]),
+    "interp-empty": lambda s, p: sw.interp_phase_to_time([], p),
     "hint-nan": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=NAN)),
     "hint-inf": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=np.inf)),
     "dt-nan": lambda s, p: sw.DuffingParams(dt=NAN),

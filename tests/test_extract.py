@@ -39,7 +39,8 @@ def n_row_fit(signal, phase, band_limit, grid_size=None, zero_dc=False):
         spectrum = pds.spectrum.copy()
         spectrum[lo + n // 2 : hi + n // 2 + 1] = 0.0
         pds = dataclasses.replace(pds, spectrum=spectrum)
-    g = np.array([sw.transform._band_samples(pds, [k], n, True)[0] for k in range(band_limit + 1)])
+    g = np.array([sw.transform._band_samples(pds.spectrum, phase.l_theta, [k], n, True)[0]
+                  for k in range(band_limit + 1)])
     fit = sw.rank_one_fit(BandMatrix(entries=np.column_stack((g.real.T, g[1:].imag.T))))
     c_raw = coefficients_from_right_vector(fit.right)
     c_raw *= np.exp(-1j * np.arange(band_limit + 1) * phase.phase_origin)

@@ -103,6 +103,56 @@ class TestWindowSegment:
         with pytest.raises(ValueError, match="mu must be >= 1"):
             sw.extract_shape_track(signal, phase, centers=[512], mu=0.5)
 
+    @pytest.mark.parametrize("mu, kinds", [
+        (1, {"WindowTooShort", "TooShort"}),
+        (2, {"TooFewPeriods", "NotNearIntegerPeriods", "cut"}),
+        (3, {"TooFewPeriods", "NotNearIntegerPeriods", "cut"}),
+    ])
+    def test_matches_validating_every_window(self, mu, kinds):
+        # about 7.7 samples per period: short windows fall below the sample
+        # count, and the samples inside a window miss its edges by up to a
+        # step, so its period count can stray from a whole number
+        t = np.linspace(0.0, 1.0, 185)
+        theta = 2.0 * np.pi * 24 * t + 0.5 * np.sin(2.0 * np.pi * t)
+        signal = sw.validate_signal(t, np.cos(theta + 0.3 * np.sin(theta)))
+        phase = sw.exact_phase_from_samples(signal, theta)
+
+        def validated_window(center):
+            """The window cut as window_segment cuts it, then validated as a record."""
+            eps = 1e-9
+            periods_left = min(mu, int((theta[center] - theta[0]) / (2.0 * np.pi) + eps))
+            periods_right = min(mu, int((theta[-1] - theta[center]) / (2.0 * np.pi) + eps))
+            if periods_left + periods_right < 2:
+                raise sw.WindowTooShort(
+                    f"only {periods_left + periods_right} whole periods available around sample {center}")
+            lo = theta[center] - 2.0 * np.pi * periods_left
+            hi = theta[center] + 2.0 * np.pi * periods_right
+            idx = slice(np.searchsorted(theta, lo - eps, "left"), np.searchsorted(theta, hi + eps, "right"))
+            chi = sw.raised_cosine_taper(theta[idx] - theta[center], periods_left, periods_right)
+            segment = sw.validate_signal(t[idx], signal.values[idx] * chi)
+            return segment, sw.validate_phase(segment, theta[idx]), chi
+
+        seen = set()
+        for center in range(signal.n_samples):
+            outcomes = []
+            for cut in (validated_window, lambda c: sw.window_segment(signal, phase, c, mu)):
+                try:
+                    segment, seg_phase, chi = cut(center)
+                except sw.ShapewaveError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                else:
+                    outcomes.append((segment.times, segment.values, seg_phase.phases, seg_phase.l_theta, chi))
+            expected, got = outcomes
+            if isinstance(expected[0], type):
+                assert isinstance(got[0], type) and got == expected
+                seen.add(expected[0].__name__)
+            else:
+                assert got[3] == expected[3]
+                for want, have in zip(expected[:3] + expected[4:], got[:3] + got[4:]):
+                    assert have.dtype == want.dtype and np.array_equal(have, want)
+                seen.add("cut")
+        assert seen == kinds
+
 
 def noisy_example1(example1, seed=4):
     signal, theta, _, _ = example1
