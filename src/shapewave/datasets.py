@@ -99,35 +99,40 @@ def integrate_duffing(params: DuffingParams):
     dt = params.dt
     steps = int(round(params.t_span / dt))
 
-    # Python floats and ``math`` keep the per-step cost low.  A float power
-    # too large for a double raises OverflowError; it becomes inf, as with
-    # NumPy scalars, and the blow-up check below reports it.
-    def acc(t, u, v):
-        try:
-            power = abs(u) ** pw
-        except OverflowError:
-            power = math.inf
-        return gamma * math.cos(beta * t) - u - eps * math.copysign(power, u)
-
+    # Python floats, ``math`` and the acceleration
+    # ``gamma*cos(beta*t) - u - eps*sign(u)*|u|**pw`` written out in each
+    # stage keep the per-step cost low.  A float power too large for a double
+    # raises OverflowError; as inf it would leave the state inf or NaN at the
+    # end of that step, so it is reported as a blow-up of that step.
+    cos, copysign, isfinite = math.cos, math.copysign, math.isfinite
+    half = 0.5 * dt
+    sixth = dt / 6.0
     u = np.empty(steps + 1)
     v = np.empty(steps + 1)
     u[0], v[0] = params.u0, params.v0
     uk, vk = float(params.u0), float(params.v0)
-    for k in range(steps):
-        t = k * dt
-        k1u = vk
-        k1v = acc(t, uk, vk)
-        k2u = vk + 0.5 * dt * k1v
-        k2v = acc(t + 0.5 * dt, uk + 0.5 * dt * k1u, vk + 0.5 * dt * k1v)
-        k3u = vk + 0.5 * dt * k2v
-        k3v = acc(t + 0.5 * dt, uk + 0.5 * dt * k2u, vk + 0.5 * dt * k2v)
-        k4u = vk + dt * k3v
-        k4v = acc(t + dt, uk + dt * k3u, vk + dt * k3v)
-        uk = uk + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        vk = vk + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not (math.isfinite(uk) and math.isfinite(vk)) or abs(uk) > BLOWUP_LIMIT:
-            raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
-        u[k + 1], v[k + 1] = uk, vk
+    try:
+        for k in range(steps):
+            t = k * dt
+            force_half = gamma * cos(beta * (t + half))
+            k1u = vk
+            k1v = gamma * cos(beta * t) - uk - eps * copysign(abs(uk) ** pw, uk)
+            k2u = vk + half * k1v
+            x = uk + half * k1u
+            k2v = force_half - x - eps * copysign(abs(x) ** pw, x)
+            k3u = vk + half * k2v
+            x = uk + half * k2u
+            k3v = force_half - x - eps * copysign(abs(x) ** pw, x)
+            k4u = vk + dt * k3v
+            x = uk + dt * k3u
+            k4v = gamma * cos(beta * (t + dt)) - x - eps * copysign(abs(x) ** pw, x)
+            uk = uk + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (isfinite(uk) and isfinite(vk)) or abs(uk) > BLOWUP_LIMIT:
+                raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
+            u[k + 1], v[k + 1] = uk, vk
+    except OverflowError:
+        raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}") from None
     times = np.arange(steps + 1) * dt
     return times, u, v
 

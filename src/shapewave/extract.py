@@ -131,9 +131,14 @@ def _grid_and_bands(n_samples: int, l_theta: int, grid_size: int | None, band_li
         _check_power_of_two(grid_size, "grid size")
     n = grid_size if grid_size is not None else default_grid_size(n_samples, l_theta)
     k_max = band_limit if band_limit is not None else default_band_limit(n, l_theta)
+    _check_band_limit(k_max)
+    return n, k_max
+
+
+def _check_band_limit(k_max) -> None:
+    """The band-count rule: an integer of at least 1."""
     if not isinstance(k_max, numbers.Integral) or not 1 <= k_max:
         raise InvalidArgument(f"band limit must be at least 1 and an integer, got {k_max}")
-    return n, k_max
 
 
 def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import PhaseFunction, ShapeFunction, Signal, _check_sample_count, _whole_periods
 from .errors import CenterOutOfRange, InvalidArgument, ShapewaveError, WindowTooShort
-from .extract import _fit_stack, _grid_and_bands, _padded, _pair_distances
+from .extract import _check_band_limit, _fit_stack, _grid_and_bands, _padded, _pair_distances
 
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
@@ -165,6 +165,8 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     indices.
     """
     _half_periods(mu)
+    if band_limit is not None:
+        _check_band_limit(band_limit)
     if centers is None:
         center_idx = default_centers(signal, phase, mu)
     else:

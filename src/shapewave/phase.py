@@ -63,14 +63,27 @@ def _dominant_peak(magnitude: np.ndarray) -> int:
         return int(np.argmax(mag))
     best = int(peaks[np.argmax(mag[peaks])])
 
+    def band(center):
+        lo = np.maximum(1, np.ceil(center * (1.0 - BANDWIDTH)).astype(int))
+        hi = np.minimum(len(mag) - 1, np.floor(center * (1.0 + BANDWIDTH)).astype(int))
+        return lo, hi
+
     def band_power(center: int) -> float:
-        lo = max(1, int(np.ceil(center * (1.0 - BANDWIDTH))))
-        hi = min(len(mag) - 1, int(np.floor(center * (1.0 + BANDWIDTH))))
+        lo, hi = band(center)
         return float(np.mean(mag[lo : hi + 1] ** 2))
 
     rivals = peaks[np.abs(peaks - best) > BANDWIDTH * best]
     if len(rivals):
-        rival = int(rivals[np.argmax([band_power(int(r)) for r in rivals])])
+        # every rival's band power from one prefix sum; the exact mean is
+        # taken only for the rivals within the prefix sum's rounding bound
+        # of the strongest, so the choice is that of the exact means
+        energy = np.concatenate(([0.0], np.cumsum(mag**2)))
+        lo, hi = band(rivals)
+        count = hi + 1 - lo
+        approx = (energy[hi + 1] - energy[lo]) / count
+        slack = 4 * len(mag) * np.finfo(float).eps * energy[-1] / count
+        finalists = rivals[approx + slack >= np.max(approx - slack)]
+        rival = int(finalists[np.argmax([band_power(int(r)) for r in finalists])])
         if band_power(best) < PEAK_MARGIN * band_power(rival):
             raise AmbiguousFundamental(
                 f"spectral bands around bins {best} and {rival} hold comparable "

@@ -10,14 +10,41 @@ the envelope scaled by the k-th shape coefficient.
 
 from __future__ import annotations
 
+import importlib.util
 import numbers
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .core import NormalizedPhaseGrid, PhaseFunction, Signal
 from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse, InvalidArgument
+
+
+def _load_dgtsv():
+    """LAPACK ``dgtsv`` from SciPy's compiled wrapper ``_flapack``, loaded without importing SciPy.
+
+    ``scipy.linalg.lapack.dgtsv`` is this same routine, but importing
+    ``scipy.linalg`` also loads ``numpy.testing`` and ``numpy.f2py`` and takes
+    longer than NumPy's own import.  The wrapper is loaded from SciPy's
+    installed package directory; it registers itself under its bare name,
+    which is taken out of ``sys.modules`` again.
+    """
+    scipy = importlib.util.find_spec("scipy")
+    linalg = [os.path.join(path, "linalg") for path in scipy.submodule_search_locations] if scipy else []
+    spec = PathFinder.find_spec("_flapack", linalg)
+    if spec is None:
+        raise ModuleNotFoundError("shapewave needs SciPy's LAPACK wrapper scipy.linalg._flapack", name="scipy")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if sys.modules.get("_flapack") is module:
+        del sys.modules["_flapack"]
+    return module.dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 
 @dataclass(frozen=True)

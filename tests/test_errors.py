@@ -20,6 +20,8 @@ CASES = {
     "track-center-nan": lambda s, p: sw.extract_shape_track(s, p, centers=[NAN]),
     "track-center-inf": lambda s, p: sw.extract_shape_track(s, p, centers=[2048, np.inf]),
     "track-band-limit-fraction": lambda s, p: sw.extract_shape_track(s, p, centers=[2048], band_limit=2.5),
+    "track-band-limit-fraction-no-window": lambda s, p: sw.extract_shape_track(s, p, centers=[0, 5000], band_limit=2.5),
+    "track-band-limit-zero-no-window": lambda s, p: sw.extract_shape_track(s, p, centers=[0, 5000], band_limit=0),
     "window-mu-nan": lambda s, p: sw.window_segment(s, p, 2048, mu=NAN),
     "window-mu-inf": lambda s, p: sw.window_segment(s, p, 2048, mu=np.inf),
     "window-mu-negative": lambda s, p: sw.window_segment(s, p, 2048, mu=-1),

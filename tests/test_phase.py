@@ -1,9 +1,69 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapewave as sw
+from shapewave.core import MIN_PERIODS
+from shapewave.phase import BANDWIDTH, PEAK_MARGIN, _dominant_peak
 
 from conftest import make_tone
+
+
+def reference_dominant_peak(magnitude: np.ndarray) -> int:
+    """The fundamental search with one exact band mean per rival peak."""
+    mag = magnitude.copy()
+    mag[:MIN_PERIODS] = 0.0
+    interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])
+    peaks = np.flatnonzero(interior) + 1
+    peaks = peaks[peaks >= MIN_PERIODS]
+    if len(peaks) == 0:
+        return int(np.argmax(mag))
+    best = int(peaks[np.argmax(mag[peaks])])
+
+    def band_power(center: int) -> float:
+        lo = max(1, int(np.ceil(center * (1.0 - BANDWIDTH))))
+        hi = min(len(mag) - 1, int(np.floor(center * (1.0 + BANDWIDTH))))
+        return float(np.mean(mag[lo : hi + 1] ** 2))
+
+    rivals = peaks[np.abs(peaks - best) > BANDWIDTH * best]
+    if len(rivals):
+        rival = int(rivals[np.argmax([band_power(int(r)) for r in rivals])])
+        if band_power(best) < PEAK_MARGIN * band_power(rival):
+            raise sw.AmbiguousFundamental(
+                f"spectral bands around bins {best} and {rival} hold comparable "
+                f"power; no fundamental dominates by {100 * (PEAK_MARGIN - 1):.0f}%"
+            )
+    return best
+
+
+def _outcome(search, magnitude):
+    try:
+        return search(magnitude)
+    except sw.AmbiguousFundamental as exc:
+        return str(exc)
+
+
+@st.composite
+def spectra(draw):
+    """One-sided magnitude spectra: white noise, noisy FM tones and periodic combs.
+
+    A comb's rival bands hold equal or nearly equal mean power, so their
+    exact means differ only by rounding, if at all.
+    """
+    kind = draw(st.sampled_from(["noise", "tone", "comb"]))
+    n = draw(st.integers(64, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "comb":
+        tooth = rng.integers(0, 4, rng.integers(2, 6)).astype(float)
+        return rng.uniform(0.01, 10.0) * np.resize(tooth, n // 2 + 1)
+    values = rng.standard_normal(n)
+    if kind == "tone":
+        t = np.arange(n) / n
+        cycles = rng.uniform(MIN_PERIODS, n / 8)
+        values *= rng.uniform(0.1, 3.0)
+        values += np.cos(2 * np.pi * cycles * t + 0.5 * np.sin(6 * np.pi * t)) ** 3
+    return np.abs(np.fft.rfft(values))
 
 
 class TestEstimatePhase:
@@ -86,6 +146,20 @@ class TestEstimatePhase:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sw.PhaseEstimateConfig(smoothing_cutoff=0.9)
+
+
+class TestDominantPeak:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spectra())
+    def test_matches_exact_band_means(self, magnitude):
+        assert _outcome(_dominant_peak, magnitude) == _outcome(reference_dominant_peak, magnitude)
+
+    def test_noisy_duffing_matches(self):
+        # about a thousand rival peaks per spectrum
+        for seed in range(4):
+            signal = sw.gen_duffing(noise=sw.NoiseSpec(1.0, seed))
+            magnitude = np.abs(np.fft.rfft(signal.values))
+            assert _outcome(_dominant_peak, magnitude) == _outcome(reference_dominant_peak, magnitude)
 
 
 class TestExactPhase:

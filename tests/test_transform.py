@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -305,6 +309,54 @@ class TestNaturalCubicSpline:
     def test_singular_system_is_typed_error(self):
         with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(sw.DegenerateInput):
             transform.natural_cubic_spline([0.0, 0.0], [1.0, 2.0], [0.5])
+
+
+class TestLapackLoader:
+    """``transform.dgtsv`` is SciPy's LAPACK ``dgtsv``, loaded without ``scipy.linalg``."""
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        src = str(Path(sw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import shapewave, shapewave.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg') or 'flapack' in m))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @staticmethod
+    def assert_solves_like_scipy(lower, diag, upper, rhs):
+        from scipy.linalg.lapack import dgtsv
+
+        ours = transform.dgtsv(lower.copy(), diag.copy(), upper.copy(), rhs.copy(), True, True, True, True)
+        ref = dgtsv(lower.copy(), diag.copy(), upper.copy(), rhs.copy(), True, True, True, True)
+        assert ours[-1] == ref[-1] == 0
+        for got, want in zip(ours[:-1], ref[:-1]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diagonally_dominant_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        lower, upper = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 4.0, n)
+        rhs = rng.standard_normal((n, int(rng.integers(1, 4))))
+        self.assert_solves_like_scipy(lower, diag, upper, rhs)
+
+    def test_two_set_block_diagonal_spline_system(self):
+        # the slope system the spline core builds for two node sets, split where x drops
+        seen = []
+        real = transform.dgtsv
+
+        def spy(lower, diag, upper, rhs, *flags):
+            seen.append((lower.copy(), diag.copy(), upper.copy(), rhs.copy()))
+            return real(lower, diag, upper, rhs, *flags)
+
+        rng = np.random.default_rng(7)
+        x = np.concatenate((np.sort(rng.uniform(0.0, 1.0, 300)), np.sort(rng.uniform(0.0, 1.0, 200))))
+        with mock.patch.object(transform, "dgtsv", spy):
+            transform._spline_pieces(x, rng.standard_normal(len(x)))
+        ((lower, diag, upper, rhs),) = seen
+        assert lower[299] == upper[299] == 0.0
+        self.assert_solves_like_scipy(lower, diag, upper, rhs)
 
 
 def spline_call(call):
