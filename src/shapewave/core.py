@@ -273,11 +273,26 @@ def normalize_rank1_factors(a_raw, c_raw, s1):
     s1 = np.asarray(s1, dtype=float)
     if not np.all(s1 > 0.0):
         raise DegenerateFactors("leading singular value must be positive")
-    grid = 2.0 * np.pi * np.arange(SHAPE_GRID) / SHAPE_GRID
-    peak = np.max(np.abs(evaluate_shape(c_raw, grid)), axis=-1)
+    peak = np.max(np.abs(_reference_grid_values(c_raw)), axis=-1)
     if np.any(peak == 0.0):
         raise DegenerateFactors("shape factor is identically zero")
     sign = np.where(np.mean(a_raw, axis=-1) >= 0.0, 1.0, -1.0)
     values_phase = (sign * s1 * peak)[..., None] * a_raw
     coeffs = (sign / peak)[..., None] * c_raw
     return values_phase, coeffs
+
+
+def _reference_grid_values(coeffs: np.ndarray) -> np.ndarray:
+    """Shape values on the ``SHAPE_GRID`` points ``2*pi*j/SHAPE_GRID``, one row per stacked vector.
+
+    On the grid, ``s = 2 * Re(sum_k d_k w^(jk))`` with ``d_0 = Re(c_0)/2``,
+    ``d_k = c_k`` and ``w = exp(2j*pi/SHAPE_GRID)``: one inverse FFT per
+    vector, with every harmonic k folded onto bin ``k mod SHAPE_GRID``.
+    Agrees with :func:`evaluate_shape` to rounding, not bitwise.
+    """
+    count = -(-coeffs.shape[-1] // SHAPE_GRID)
+    bins = np.zeros(coeffs.shape[:-1] + (count * SHAPE_GRID,), dtype=complex)
+    bins[..., : coeffs.shape[-1]] = coeffs
+    bins[..., 0] = 0.5 * coeffs[..., 0].real
+    folded = bins.reshape(coeffs.shape[:-1] + (count, SHAPE_GRID)).sum(axis=-2)
+    return 2.0 * np.fft.ifft(folded, norm="forward").real

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MIN_SAMPLES, Signal, validate_signal
-from .errors import InvalidArgument, NonFiniteState, ParseError
+from .errors import InvalidArgument, MismatchedLengths, NonFiniteState, ParseError
 
 #: Absolute value beyond which an ODE trajectory counts as blown up.
 BLOWUP_LIMIT = 1.0e6
@@ -266,10 +266,13 @@ def _check_times(path, times, signal: Signal):
 
 
 def _write_two_columns(path, header, col_a, col_b):
-    # Python floats give the same digits as NumPy scalars at less cost per row
-    col_a, col_b = np.asarray(col_a).tolist(), np.asarray(col_b).tolist()
-    rows = (f"{a:.17g},{b:.17g}\n" for a, b in zip(col_a, col_b))
-    text = f"{header[0]},{header[1]}\n" + "".join(rows)
+    col_a, col_b = np.asarray(col_a), np.asarray(col_b)
+    if col_a.shape != col_b.shape or col_a.ndim != 1:
+        raise MismatchedLengths(f"columns {header[0]} and {header[1]} must be 1-d and of equal length, "
+                                f"got shapes {col_a.shape} and {col_b.shape}")
+    # one format over the interleaved Python floats: the digits of a per-row f-string at less cost
+    cells = np.stack((col_a, col_b), axis=1).ravel().tolist()
+    text = f"{header[0]},{header[1]}\n" + "%.17g,%.17g\n" * len(col_a) % tuple(cells)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 

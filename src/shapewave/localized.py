@@ -13,6 +13,7 @@ share one stacked resample, rank-1 fit and back-interpolation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,21 +50,22 @@ class ShapeTrack:
     envelopes: list = field(default_factory=list)
 
 
-def raised_cosine_taper(delta_theta, half_periods_left: int, half_periods_right: int | None = None):
+def raised_cosine_taper(delta_theta, half_periods_left, half_periods_right=None):
     """Taper that is 1 at phase offset 0 and 0 at the window edges.
 
     The edges sit at ``-2*pi*half_periods_left`` and
     ``+2*pi*half_periods_right``; each side is scaled so the cosine reaches
-    its zero exactly there.
+    its zero exactly there.  The period counts are scalars or arrays that
+    broadcast against ``delta_theta``, one count per offset.
     """
     if half_periods_right is None:
         half_periods_right = half_periods_left
     delta_theta = np.asarray(delta_theta, dtype=float)
+    scale = 2.0 * np.where(delta_theta < 0, half_periods_left, half_periods_right)
     # a side with no periods has no extent: only its edge, offset 0, is in
-    # it, and an infinite scale keeps the taper 1 there
-    left, right = (2.0 * half if half else np.inf for half in (half_periods_left, half_periods_right))
-    scale = np.where(delta_theta < 0, left, right)
-    return 0.5 * (1.0 + np.cos(delta_theta / scale))
+    # it, and the taper is 1 there
+    ratio = np.divide(delta_theta, scale, out=np.zeros_like(delta_theta), where=scale != 0)
+    return 0.5 * (1.0 + np.cos(ratio))
 
 
 def _half_periods(mu) -> int:
@@ -107,28 +109,66 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     half = _half_periods(mu)
     if not (math.isfinite(center) and center == int(center)):
         raise InvalidArgument(f"center must be a whole sample index, got {center}")
-    center = int(center)
-    if not 0 <= center < signal.n_samples:
-        raise CenterOutOfRange(f"center index {center} out of range for {signal.n_samples} samples")
+    (cut,) = _cut_windows(signal, phase, [int(center)], half)
+    if isinstance(cut, ShapewaveError):
+        raise cut
+    return cut
+
+
+def _cut_windows(signal: Signal, phase: PhaseFunction, centers, half: int) -> list:
+    """Cut and taper the windows around sample indices ``centers`` in one pass.
+
+    One ``searchsorted`` finds every window's bounds and one taper
+    evaluation covers all windows.  Returns one entry per center: the
+    (segment, phase, taper) triple of :func:`window_segment`, or the
+    :class:`ShapewaveError` it raises for that center.
+    """
     theta = phase.phases
-    theta_m = theta[center]
+    n_samples = signal.n_samples
+    cuts: list = [None if 0 <= c < n_samples else
+                  CenterOutOfRange(f"center index {c} out of range for {n_samples} samples")
+                  for c in centers]
+    inside = [i for i, cut in enumerate(cuts) if cut is None]
+    theta_m = theta[[centers[i] for i in inside]]
     # count whole periods tolerantly so boundary samples are not lost to
-    # floating-point representation of the phase
+    # floating-point representation of the phase; the counts stay floats,
+    # so a mu past the float range takes every period in reach
     eps = 1e-9
-    periods_left = min(half, int((theta_m - theta[0]) / (2.0 * np.pi) + eps))
-    periods_right = min(half, int((theta[-1] - theta_m) / (2.0 * np.pi) + eps))
-    if periods_left + periods_right < 2:
-        raise WindowTooShort(
-            f"only {periods_left + periods_right} whole periods available around sample {center}"
-        )
-    lo = theta_m - 2.0 * np.pi * periods_left
-    hi = theta_m + 2.0 * np.pi * periods_right
-    # the phase increases strictly, so the window is one run of samples
-    idx = slice(np.searchsorted(theta, lo - eps, "left"), np.searchsorted(theta, hi + eps, "right"))
-    chi = raised_cosine_taper(theta[idx] - theta_m, periods_left, periods_right)
-    _check_sample_count(len(chi))
-    segment_phase = PhaseFunction(phases=theta[idx], l_theta=_whole_periods(theta[idx]))
-    return Signal(times=signal.times[idx], values=signal.values[idx] * chi), segment_phase, chi
+    half = float(min(half, sys.float_info.max))
+    left = np.minimum(half, np.floor((theta_m - theta[0]) / (2.0 * np.pi) + eps))
+    right = np.minimum(half, np.floor((theta[-1] - theta_m) / (2.0 * np.pi) + eps))
+    totals = left + right
+    for i, total in zip(inside, totals.tolist()):
+        if total < 2:
+            cuts[i] = WindowTooShort(f"only {int(total)} whole periods available around sample {centers[i]}")
+    keep = totals >= 2
+    if not np.any(keep):
+        return cuts
+    inside = [i for i, kept in zip(inside, keep.tolist()) if kept]
+    theta_m, left, right = theta_m[keep], left[keep], right[keep]
+    # the phase increases strictly, so each window is one run of samples
+    starts = np.searchsorted(theta, theta_m - 2.0 * np.pi * left - eps, "left")
+    stops = np.searchsorted(theta, theta_m + 2.0 * np.pi * right + eps, "right")
+    bounds = list(zip(starts.tolist(), stops.tolist()))
+    # the windows back to back: phase offsets, tapers and tapered values
+    counts = stops - starts
+    offsets = np.concatenate([theta[start:stop] for start, stop in bounds])
+    offsets -= np.repeat(theta_m, counts)
+    chi = raised_cosine_taper(offsets, np.repeat(left, counts), np.repeat(right, counts))
+    values = np.concatenate([signal.values[start:stop] for start, stop in bounds])
+    values *= chi
+    end = 0
+    for i, (start, stop) in zip(inside, bounds):
+        window = slice(end, end + stop - start)
+        end = window.stop
+        try:
+            _check_sample_count(stop - start)
+            segment_phase = PhaseFunction(phases=theta[start:stop], l_theta=_whole_periods(theta[start:stop]))
+        except ShapewaveError as exc:
+            cuts[i] = exc
+        else:
+            cuts[i] = (Signal(times=signal.times[start:stop], values=values[window]), segment_phase, chi[window])
+    return cuts
 
 
 def default_centers(signal: Signal, phase: PhaseFunction, mu: float = 3.0) -> np.ndarray:
@@ -156,15 +196,16 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     for each window is de-biased by the taper where the taper exceeds
     ``TAPER_RELIABLE`` and set to NaN elsewhere.
 
-    Windows that share their period count, grid and band limit are fitted as
-    one stack, ``WINDOW_CHUNK`` centers at a time.  Each window's shape and
+    The windows are cut and fitted ``WINDOW_CHUNK`` centers at a time: each
+    chunk is cut in one pass, and its windows that share their period count,
+    grid and band limit are fitted as one stack.  Each window's shape and
     envelope equal those of :func:`extract_shape` on its own segment with the
     same ``band_limit``, and each drift equals :func:`shape_distance` of its pair.
     A ``mu`` or ``band_limit`` out of range, or a NaN or infinite center,
     raises :class:`InvalidArgument`; finite centers are truncated to sample
     indices.
     """
-    _half_periods(mu)
+    half = _half_periods(mu)
     if band_limit is not None:
         _check_band_limit(band_limit)
     if centers is None:
@@ -181,12 +222,12 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     errors: list[str | None] = [None] * count
     for start in range(0, count, WINDOW_CHUNK):
         groups: dict[tuple, list] = {}
-        for i in range(start, min(start + WINDOW_CHUNK, count)):
-            try:
-                segment, segment_phase, chi = window_segment(signal, phase, int(center_idx[i]), mu)
-            except ShapewaveError as exc:
-                errors[i] = _describe(exc)
+        chunk = center_idx[start : start + WINDOW_CHUNK].tolist()
+        for i, cut in enumerate(_cut_windows(signal, phase, chunk, half), start):
+            if isinstance(cut, ShapewaveError):
+                errors[i] = _describe(cut)
                 continue
+            segment, segment_phase, chi = cut
             m = segment_phase.l_theta
             key = (m, *_grid_and_bands(segment.n_samples, m, None, band_limit))
             groups.setdefault(key, []).append((i, segment, segment_phase, chi))

@@ -203,3 +203,24 @@ class TestCsv:
         getattr(sw.datasets, writer)(path, np.array([-0.0, 0.1]),
                                      np.array([1e-300, 1.7976931348623157e308]))
         assert path.read_bytes() == header + b"\n-0,1e-300\n0.10000000000000001,1.7976931348623157e+308\n"
+
+    @pytest.mark.parametrize("col_b", [np.arange(3.0), np.arange(6.0), np.zeros((5, 1)), np.float64(2.0)])
+    def test_mismatched_columns_raise_before_writing(self, tmp_path, col_b):
+        path = tmp_path / "phase.csv"
+        with pytest.raises(sw.MismatchedLengths, match="t and theta must be 1-d and of equal length"):
+            sw.datasets.write_phase_csv(path, np.arange(5.0), col_b)
+        assert not path.exists()
+
+    def test_bytes_match_per_row_format(self, tmp_path):
+        # the one-format writer against the per-row f-string it replaced
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e308,
+                -1e308, 1.7976931348623157e308, 0.1, 0.2, 0.3, 1.0 / 3.0, -2.5, 1e16, 123456789.125,
+                1e-5, 7.0, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(8)
+        col_a = np.array(edge + list(rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)))
+        col_b = np.roll(col_a, 7)
+        path = tmp_path / "out.csv"
+        sw.datasets.write_residual_csv(path, col_a, col_b)
+        rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(col_a.tolist(), col_b.tolist()))
+        assert path.read_bytes() == ("t,r\n" + rows).encode("utf-8")
+

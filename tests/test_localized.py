@@ -1,3 +1,4 @@
+import functools
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shapewave as sw
-from shapewave.localized import TAPER_RELIABLE, _drift
+from shapewave.localized import TAPER_RELIABLE, WINDOW_CHUNK, _cut_windows, _drift
 
 from conftest import TAU_GRID
 
@@ -22,6 +23,84 @@ def linear_phase_signal(n_samples=1024, l_theta=16, values=None):
     return signal, phase
 
 
+def reference_taper(delta_theta, half_periods_left, half_periods_right):
+    """The raised-cosine taper as one window's scalar period counts define it."""
+    left, right = (2.0 * half if half else np.inf for half in (half_periods_left, half_periods_right))
+    scale = np.where(delta_theta < 0, left, right)
+    return 0.5 * (1.0 + np.cos(delta_theta / scale))
+
+
+def reference_window_segment(signal, phase, center, mu):
+    """One window cut on its own: the per-window cutter that the chunked one replaced."""
+    half = int(mu)
+    if not 0 <= center < signal.n_samples:
+        raise sw.CenterOutOfRange(f"center index {center} out of range for {signal.n_samples} samples")
+    theta = phase.phases
+    theta_m = theta[center]
+    eps = 1e-9
+    periods_left = min(half, int((theta_m - theta[0]) / (2.0 * np.pi) + eps))
+    periods_right = min(half, int((theta[-1] - theta_m) / (2.0 * np.pi) + eps))
+    if periods_left + periods_right < 2:
+        raise sw.WindowTooShort(
+            f"only {periods_left + periods_right} whole periods available around sample {center}"
+        )
+    lo = theta_m - 2.0 * np.pi * periods_left
+    hi = theta_m + 2.0 * np.pi * periods_right
+    idx = slice(np.searchsorted(theta, lo - eps, "left"), np.searchsorted(theta, hi + eps, "right"))
+    chi = reference_taper(theta[idx] - theta_m, periods_left, periods_right)
+    if len(chi) < sw.core.MIN_SAMPLES:
+        raise sw.TooShort(f"need at least {sw.core.MIN_SAMPLES} samples, got {len(chi)}")
+    segment_phase = sw.PhaseFunction(phases=theta[idx], l_theta=sw.core._whole_periods(theta[idx]))
+    return sw.Signal(times=signal.times[idx], values=signal.values[idx] * chi), segment_phase, chi
+
+
+@functools.lru_cache(maxsize=None)
+def cutter_record(name):
+    """example1; a record whose samples land on whole periods, where the period counts
+    need their tolerance; a non-uniform record; and a coarse one (about 7.7 samples a
+    period) whose windows fail the sample-count and period-count rules."""
+    if name == "example1":
+        signal, theta, _ = sw.gen_example1(4096)
+    elif name == "aligned":
+        # 25 samples a period; near both ends, a whole-period offset divided by
+        # 2*pi rounds to just below its whole number
+        t = np.arange(951) / 950.0
+        theta = 2.0 * np.pi * 38 * t
+        signal = sw.validate_signal(t, np.cos(theta))
+    else:
+        n_samples, periods = (4096, 16) if name == "non-uniform" else (185, 24)
+        t = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, n_samples))
+        t[0], t[-1] = 0.0, 1.0
+        theta = 2.0 * np.pi * periods * t + 0.8 * np.sin(2.0 * np.pi * t)
+        signal = sw.validate_signal(t, np.cos(theta + 0.3 * np.sin(theta)))
+    return signal, sw.exact_phase_from_samples(signal, theta)
+
+
+def cut_outcome(cut):
+    """A cut as comparable data: the error's class and text, or the window's arrays."""
+    if isinstance(cut, Exception):
+        return type(cut), str(cut)
+    segment, segment_phase, chi = cut
+    return segment_phase.l_theta, segment.times, segment.values, segment_phase.phases, chi
+
+
+def outcome_of(cutter, *args):
+    """The outcome of one window cut that raises its error."""
+    try:
+        return cut_outcome(cutter(*args))
+    except sw.ShapewaveError as exc:
+        return cut_outcome(exc)
+
+
+def assert_same_cut(got, want):
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        for have, expected in zip(got[1:], want[1:]):
+            assert have.dtype == expected.dtype and np.array_equal(have, expected)
+
+
 class TestTaper:
     def test_endpoints_and_center(self):
         for half in (1, 2, 3, 5):
@@ -34,6 +113,17 @@ class TestTaper:
     def test_asymmetric_edges(self):
         chi = sw.raised_cosine_taper(np.array([-2.0 * np.pi, 4.0 * np.pi]), 1, 2)
         assert np.max(np.abs(chi)) <= 1e-12
+
+    def test_per_offset_counts_match_scalar_counts(self):
+        # one call over several windows' offsets equals one call per window
+        rng = np.random.default_rng(2)
+        sides = [(3, 3), (1, 2), (0, 3), (2, 0), (5, 1)]
+        deltas = [rng.uniform(-2.0 * np.pi * left, 2.0 * np.pi * right, 50) for left, right in sides]
+        lengths = [len(d) for d in deltas]
+        chi = sw.raised_cosine_taper(np.concatenate(deltas), np.repeat([l for l, _ in sides], lengths),
+                                     np.repeat([r for _, r in sides], lengths))
+        expected = [reference_taper(d, left, right) for d, (left, right) in zip(deltas, sides)]
+        assert np.array_equal(chi, np.concatenate(expected))
 
     def test_side_without_periods_keeps_center(self):
         # a window ending at its center has no right side: offset 0 is its
@@ -152,6 +242,54 @@ class TestWindowSegment:
                     assert have.dtype == want.dtype and np.array_equal(have, want)
                 seen.add("cut")
         assert seen == kinds
+
+
+class TestChunkCutter:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(record=st.sampled_from(["example1", "aligned", "non-uniform", "coarse"]),
+           mu=st.floats(1.0, 6.0, exclude_max=True),
+           picks=st.lists(st.tuples(st.sampled_from(["before", "ends", "periods", "middle", "after"]),
+                                    st.integers(0, 2**31)),
+                          min_size=1, max_size=WINDOW_CHUNK))
+    def test_chunk_matches_reference_per_window(self, record, mu, picks):
+        # centers out of range, at the record ends, on whole periods and
+        # mid-record, so a chunk mixes cut windows with every failure kind
+        signal, phase = cutter_record(record)
+        n = signal.n_samples
+        periods = phase.phases[0] + 2.0 * np.pi * np.arange(phase.l_theta + 1)
+        pools = {"before": [-3, -2, -1], "ends": [0, 1, 2, n - 3, n - 2, n - 1],
+                 "periods": np.abs(phase.phases[:, None] - periods).argmin(axis=0).tolist(),
+                 "middle": range(n), "after": [n, n + 1, n + 7]}
+        centers = [pools[kind][draw % len(pools[kind])] for kind, draw in picks]
+        expected = [outcome_of(reference_window_segment, signal, phase, center, mu) for center in centers]
+        for got, want in zip(_cut_windows(signal, phase, centers, int(mu)), expected, strict=True):
+            assert_same_cut(cut_outcome(got), want)
+        for center, want in zip(centers, expected):
+            assert_same_cut(outcome_of(sw.window_segment, signal, phase, center, mu), want)
+
+    @pytest.mark.parametrize("record, kinds", [
+        ("coarse", {"TooShort", "TooFewPeriods", "NotNearIntegerPeriods"}),
+        ("aligned", {"TooFewPeriods"}),
+    ])
+    def test_every_center_matches_reference(self, record, kinds):
+        # every center of the record in chunks, as the tracker cuts them
+        signal, phase = cutter_record(record)
+        seen = set()
+        for mu in (1, 2, 3.5, 5.5):
+            centers = list(range(-2, signal.n_samples + 2))
+            for start in range(0, len(centers), WINDOW_CHUNK):
+                chunk = centers[start : start + WINDOW_CHUNK]
+                for center, got in zip(chunk, _cut_windows(signal, phase, chunk, int(mu))):
+                    want = outcome_of(reference_window_segment, signal, phase, center, mu)
+                    assert_same_cut(cut_outcome(got), want)
+                    seen.add(want[0].__name__ if isinstance(want[0], type) else "cut")
+        assert seen == kinds | {"CenterOutOfRange", "WindowTooShort", "cut"}
+
+    def test_mu_past_float_range_takes_every_period(self):
+        signal, phase = linear_phase_signal()
+        got = cut_outcome(sw.window_segment(signal, phase, 512, mu=10**400))
+        assert_same_cut(got, cut_outcome(sw.window_segment(signal, phase, 512, mu=100)))
+        assert got[0] == 15
 
 
 def noisy_example1(example1, seed=4):
