@@ -258,6 +258,9 @@ def main(argv=None) -> int:
     except ShapewaveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry():

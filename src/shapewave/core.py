@@ -8,6 +8,7 @@ whole pipeline and the canonical normalization of the rank-1 factors.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -38,6 +39,10 @@ SHAPE_GRID = 1024
 
 #: Sign convention tag recorded on normalized shape functions.
 SIGN_CONVENTION = "nonnegative-envelope-mean"
+
+#: Largest grid size or generated sample count: arrays of that many complex
+#: values still have a byte size that an ``intp`` holds.
+MAX_COUNT = np.iinfo(np.intp).max // 16
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,11 @@ def validate_phase(signal: Signal, phases) -> PhaseFunction:
     if len(bad):
         raise NonMonotonePhase(f"phase not strictly increasing at index {bad[0] + 1}")
     return PhaseFunction(phases=phases, l_theta=_whole_periods(phases))
+
+
+def _is_count(value, low: int, high: float = np.inf) -> bool:
+    """The integer rule of counts: an integer (NumPy's too) but not a bool, ``low <= value <= high``."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and low <= value <= high
 
 
 def _check_sample_count(count: int) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_SAMPLES, Signal, validate_signal
+from .core import MAX_COUNT, MIN_SAMPLES, Signal, _is_count, validate_signal
 from .errors import InvalidArgument, MismatchedLengths, NonFiniteState, ParseError
 
 #: Absolute value beyond which an ODE trajectory counts as blown up.
@@ -41,8 +41,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0.0 <= self.sigma < math.inf:
             raise InvalidArgument(f"sigma must be >= 0, got {self.sigma}")
-        if not 0 <= self.seed:
-            raise InvalidArgument(f"seed must be >= 0, got {self.seed}")
+        if not _is_count(self.seed, 0):
+            raise InvalidArgument(f"seed must be >= 0, got {self.seed!r}; seeds are integers, not bools")
 
     def draw(self, n: int) -> np.ndarray:
         return self.sigma * np.random.default_rng(self.seed).standard_normal(n)
@@ -137,6 +137,12 @@ def integrate_duffing(params: DuffingParams):
     return times, u, v
 
 
+def _check_samples(n_samples, low: int) -> None:
+    """The generators' sample-count rule: an integer from ``low`` to ``MAX_COUNT``."""
+    if not _is_count(n_samples, low, MAX_COUNT):
+        raise InvalidArgument(f"need an integer sample count from {low} to {MAX_COUNT}, got {n_samples!r}")
+
+
 def gen_duffing(params: DuffingParams | None = None, noise: NoiseSpec = NoiseSpec(),
                 n_samples: int = 8192) -> Signal:
     """Integrate the oscillator and return the (optionally noisy) displacement.
@@ -144,8 +150,7 @@ def gen_duffing(params: DuffingParams | None = None, noise: NoiseSpec = NoiseSpe
     The dense trajectory is thinned to about ``n_samples`` points, or kept
     whole if it has no more than that.
     """
-    if not MIN_SAMPLES <= n_samples:
-        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
+    _check_samples(n_samples, MIN_SAMPLES)
     if params is None:
         params = DuffingParams()
     times, u, _ = integrate_duffing(params)
@@ -178,8 +183,7 @@ def gen_example1(n_samples: int = 4096, noise: NoiseSpec = NoiseSpec()):
         The signal, the exact phase samples, and the exact shape evaluator
         ``s(tau) = 1 / (1.1 + cos(tau + cos(2*tau)))``.
     """
-    if not 512 <= n_samples:
-        raise InvalidArgument(f"need at least 512 samples, got {n_samples}")
+    _check_samples(n_samples, 512)
     t = np.linspace(0.0, 1.0, n_samples)
     theta = 40.0 * np.pi * t + 2.0 * np.cos(6.0 * np.pi * t)
     envelope = 1.0 / (2.0 + np.sin(2.0 * np.pi * t))
@@ -196,10 +200,9 @@ def gen_morphing_shape(n_samples: int, shape_a, shape_b, l_theta: int) -> Signal
     phase ``theta = 2*pi*l_theta*t`` on [0, 1].  Both evaluators must be
     2*pi-periodic.
     """
-    if not MIN_SAMPLES <= n_samples:
-        raise InvalidArgument(f"need at least {MIN_SAMPLES} samples, got {n_samples}")
-    if not 1 <= l_theta:
-        raise InvalidArgument(f"l_theta must be >= 1, got {l_theta}")
+    _check_samples(n_samples, MIN_SAMPLES)
+    if not _is_count(l_theta, 1):
+        raise InvalidArgument(f"l_theta must be an integer >= 1, got {l_theta!r}")
     t = np.linspace(0.0, 1.0, n_samples)
     theta = 2.0 * np.pi * l_theta * t
     f = (1.0 - t) * np.asarray(shape_a(theta), dtype=float) + t * np.asarray(shape_b(theta), dtype=float)

@@ -12,7 +12,6 @@ fitted as one stack of such matrices.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .core import (
     PhaseFunction,
     ShapeFunction,
     Signal,
+    _is_count,
     evaluate_shape,
     normalize_rank1_factors,
 )
@@ -33,6 +33,7 @@ from .transform import (
     _check_power_of_two,
     _interp_stack,
     _resample_stack,
+    _top_band,
     default_grid_size,
     forward_spectrum,
 )
@@ -106,9 +107,7 @@ def rank_one_fit(matrix: BandMatrix) -> Rank1Fit:
 
 def default_band_limit(n: int, l_theta: int) -> int:
     """Largest Nyquist-feasible band count, capped at ``MAX_DEFAULT_BANDS``."""
-    half_hi = (l_theta + 1) // 2
-    feasible = (n // 2 - half_hi) // l_theta
-    return max(1, min(MAX_DEFAULT_BANDS, feasible))
+    return max(1, min(MAX_DEFAULT_BANDS, _top_band(n, l_theta)))
 
 
 def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
@@ -137,8 +136,8 @@ def _grid_and_bands(n_samples: int, l_theta: int, grid_size: int | None, band_li
 
 def _check_band_limit(k_max) -> None:
     """The band-count rule: an integer of at least 1."""
-    if not isinstance(k_max, numbers.Integral) or not 1 <= k_max:
-        raise InvalidArgument(f"band limit must be at least 1 and an integer, got {k_max}")
+    if not _is_count(k_max, 1):
+        raise InvalidArgument(f"band limit must be at least 1 and an integer, got {k_max!r}")
 
 
 def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):
@@ -154,10 +153,10 @@ def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):
 
     Returns
     -------
-    (Rank1Fit, ndarray, ndarray, list)
+    (Rank1Fit, ndarray, ndarray, ndarray)
         The stacked fit, the normalized coefficients (W x (K+1)), the
-        phase-grid envelopes (W x n) and each record's envelope on its own
-        time grid.
+        phase-grid envelopes (W x n) and the records' envelopes on their own
+        time grids, back to back.
     """
     m = records[0][1].l_theta
     blocks = _band_samples(forward_spectrum(_resample_stack(records, n)), m, range(k_max + 1), m, True)
@@ -212,7 +211,7 @@ def extract_shape(
         ``envelope.values_time * shape(phase.phases)``.
     """
     n, k_max = _grid_and_bands(signal.n_samples, phase.l_theta, grid_size, band_limit)
-    fit, coeffs, values_phase, (values_time,) = _fit_stack([(signal, phase)], n, k_max, zero_dc)
+    fit, coeffs, values_phase, values_time = _fit_stack([(signal, phase)], n, k_max, zero_dc)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 

@@ -13,8 +13,9 @@ share one stacked resample, rank-1 fit and back-interpolation.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class ShapeTrack:
     shapes: list
     drift: np.ndarray
     errors: list
-    envelopes: list = field(default_factory=list)
+    envelopes: list
 
 
 def raised_cosine_taper(delta_theta, half_periods_left, half_periods_right=None):
@@ -107,8 +108,8 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
         If the window fails a record's sample-count or period-count rule.
     """
     half = _half_periods(mu)
-    if not (math.isfinite(center) and center == int(center)):
-        raise InvalidArgument(f"center must be a whole sample index, got {center}")
+    if not (isinstance(center, numbers.Real) and math.isfinite(center) and center == int(center)):
+        raise InvalidArgument(f"center must be a whole sample index, got {center!r}")
     (cut,) = _cut_windows(signal, phase, [int(center)], half)
     if isinstance(cut, ShapewaveError):
         raise cut
@@ -213,7 +214,7 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     else:
         try:
             center_idx = np.asarray(sorted(int(c) for c in centers), dtype=int)
-        except (ValueError, OverflowError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidArgument(f"centers must be finite sample indices: {exc}") from exc
 
     count = len(center_idx)
@@ -268,17 +269,14 @@ def _fit_windows(members, n: int, k_max: int) -> list[tuple]:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]
         return [out for member in members for out in _fit_windows([member], n, k_max)]
-    # one store for the stack's de-biased envelopes, allocated after its splines: with an array
+    lengths = [len(chi) for *_, chi in members]
+    taper = np.concatenate([chi for *_, chi in members])
+    # one array for the stack's de-biased envelopes, allocated after its splines: with an array
     # per window, malloc returned the splines' freed buffers to the system after every stack,
     # and a default track took about 3 500 page faults instead of about 500
-    store = np.full(sum(len(env) for env in values_time), np.nan)
-    outcomes = []
-    lo = 0
-    for (i, _, _, chi), c, env in zip(members, coeffs, values_time):
-        env = np.divide(env, chi, out=store[lo : lo + len(env)], where=chi > TAPER_RELIABLE)
-        lo += len(env)
-        outcomes.append((i, ShapeFunction(coeffs=c), env, None))
-    return outcomes
+    envelopes = np.divide(values_time, taper, out=np.full(len(taper), np.nan), where=taper > TAPER_RELIABLE)
+    return [(i, ShapeFunction(coeffs=c), env, None)
+            for (i, *_), c, env in zip(members, coeffs, np.split(envelopes, np.cumsum(lengths[:-1])))]
 
 
 def _drift(shapes) -> np.ndarray:

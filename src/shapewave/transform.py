@@ -11,7 +11,6 @@ the envelope scaled by the k-th shape coefficient.
 from __future__ import annotations
 
 import importlib.util
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .core import NormalizedPhaseGrid, PhaseFunction, Signal
+from .core import MAX_COUNT, NormalizedPhaseGrid, PhaseFunction, Signal, _is_count
 from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse, InvalidArgument
 
 
@@ -81,9 +80,9 @@ def forward_spectrum(values) -> np.ndarray:
 
 
 def _check_power_of_two(n, name: str) -> None:
-    """The grid-size rule: an integer power of two."""
-    if not isinstance(n, numbers.Integral) or not 1 <= n or n & (n - 1):
-        raise InvalidArgument(f"{name} must be a power of two, got {n}")
+    """The grid-size rule: an integer power of two, at most ``MAX_COUNT``."""
+    if not _is_count(n, 1, MAX_COUNT) or n & (n - 1):
+        raise InvalidArgument(f"{name} must be a power of two no larger than {MAX_COUNT}, got {n!r}")
 
 
 def natural_cubic_spline(x, y, xq) -> np.ndarray:
@@ -99,13 +98,22 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
     Raises
     ------
     InvalidArgument
-        If ``x`` decreases anywhere (the spline core would read a new node set there).
+        If ``x`` and ``y`` are not 1-d of one length with at least two nodes,
+        a node is not finite, or ``x`` decreases anywhere (the spline core
+        would read a new node set there).
     DegenerateInput
-        If LAPACK reports the slope system singular.
+        If a node repeats, or LAPACK reports the slope system singular.
     """
     x, y, xq = (np.asarray(a, dtype=float) for a in (x, y, xq))
+    if x.ndim != 1 or y.shape != x.shape or len(x) < 2:
+        raise InvalidArgument(f"spline needs 1-d nodes and values of one length, at least two; "
+                              f"got shapes {x.shape} and {y.shape}")
+    if not np.all(np.isfinite(x)):
+        raise InvalidArgument("spline nodes must be finite")
     if np.any(x[1:] < x[:-1]):
         raise InvalidArgument("spline nodes must be increasing")
+    if np.any(x[1:] == x[:-1]):
+        raise DegenerateInput("spline nodes must be distinct")
     return _spline(x, y, xq.ravel(), np.searchsorted(x[1:-1], xq.ravel(), "right")).reshape(xq.shape)
 
 
@@ -253,6 +261,17 @@ def _resample_stack(records, n: int) -> np.ndarray:
     return _spline(x, values, _joined([grid] * len(records)), index.ravel()).reshape(len(records), n)
 
 
+def _top_band(n: int, l_theta: int) -> int:
+    """The largest ``|k|`` whose band fits below the Nyquist frequency ``n/2``.
+
+    Band k reaches frequency ``|k|*l_theta + ceil(l_theta/2)``; it fits when
+    that is at most ``n//2``.  Integer floor division decides exactly that.
+    """
+    if not _is_count(l_theta, 1):
+        raise InvalidArgument(f"l_theta must be an integer >= 1, got {l_theta!r}")
+    return (n // 2 - (l_theta + 1) // 2) // l_theta
+
+
 def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
     """Inclusive frequency interval of harmonic band ``k``.
 
@@ -264,17 +283,16 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
     ------
     BandExceedsNyquist
         If the band does not fit below the Nyquist frequency n/2.
+    InvalidArgument
+        If ``l_theta`` is not an integer of at least 1.
     """
-    half_lo = l_theta // 2
     half_hi = (l_theta + 1) // 2
-    lo = k * l_theta - half_lo
-    hi = k * l_theta + half_hi - 1
-    if abs(k) * l_theta + half_hi > n // 2:
+    if abs(k) > _top_band(n, l_theta):
         raise BandExceedsNyquist(
             f"band {k} needs frequencies up to {abs(k) * l_theta + half_hi}, "
             f"grid Nyquist is {n // 2}; lower the band limit or raise the grid size"
         )
-    return lo, hi
+    return k * l_theta - l_theta // 2, k * l_theta + half_hi - 1
 
 
 def _band_samples(spectrum: np.ndarray, l_theta: int, ks, size: int, trim_unpaired: bool) -> np.ndarray:
@@ -315,34 +333,30 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int) -> DemodulatedBand:
 def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
     """Interpolate phase-grid samples back onto the time grid ``phase`` is aligned with.
 
-    The phase grid is closed periodically at phi = 1 (every quantity carried
-    on it is one record-period of a periodic function), then a natural cubic
-    spline is evaluated at ``phi(t_l)``.
+    The power-of-two phase grid is closed periodically at phi = 1 (every
+    quantity carried on it is one record-period of a periodic function),
+    then a natural cubic spline is evaluated at ``phi(t_l)``.
     """
     values_phase = np.asarray(values_phase, dtype=float)
-    if values_phase.ndim != 1 or not len(values_phase):
-        raise InvalidArgument("phase-grid samples must be a non-empty 1-d sequence")
-    return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase])[0]
+    if values_phase.ndim != 1:
+        raise InvalidArgument("phase-grid samples must be a 1-d sequence")
+    _check_power_of_two(len(values_phase), "phase-grid length")
+    return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase])
 
 
-def _interp_stack(closed: np.ndarray, phases) -> list:
-    """:func:`interp_phase_to_time` of each row of ``closed`` at its own phase.
+def _interp_stack(closed: np.ndarray, phases) -> np.ndarray:
+    """:func:`interp_phase_to_time` of each row of ``closed`` at its own phase, back to back.
 
     Row r holds the samples at the nodes ``k/n``, k = 0..n, the grid closed
     periodically (its last sample is its first).  All rows share the nodes,
     and one stacked spline serves them.  A phi lies in interval
-    ``floor(phi*n)``, capped at n-1, up to the rounding of ``phi*n`` and
-    ``k/n`` when n is not a power of two; one step against the nodes
-    themselves (open at both ends) undoes that, so the index is exact.  Row
-    r's index is then offset by ``r*(n+1)``.
+    ``floor(phi*n)``, capped at n-1.  This is exact: n is a power of two, so
+    neither ``phi*n`` nor ``k/n`` rounds.  Row r's index is then offset by
+    ``r*(n+1)``.
     """
     n = closed.shape[-1] - 1
     nodes = np.arange(n + 1) / n
-    bounds = np.concatenate(([-np.inf], nodes[1:-1], [np.inf]))
     phi = _joined([phase.normalized() for phase in phases])
     i = (phi * n).clip(0, n - 1).astype(np.intp)
-    i -= bounds[i] > phi
-    i += bounds[i + 1] <= phi
-    lengths = [len(phase.phases) for phase in phases]
-    i += np.repeat(np.arange(len(phases)) * (n + 1), lengths)
-    return np.split(_spline(_joined([nodes] * len(phases)), closed.ravel(), phi, i), np.cumsum(lengths[:-1]))
+    i += np.repeat(np.arange(len(phases)) * (n + 1), [len(phase.phases) for phase in phases])
+    return _spline(_joined([nodes] * len(phases)), closed.ravel(), phi, i)

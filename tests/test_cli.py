@@ -251,6 +251,7 @@ def test_lambda_out_of_range_usage_error(ex1_files, capsys, command, lam):
 @pytest.mark.parametrize("args", [
     ["gen", "example1", "--n", 100],
     ["gen", "example1", "--n", 0],
+    ["gen", "example1", "--n", 2**62],
     ["gen", "duffing", "--n", -5],
     ["gen", "duffing", "--dt", 0],
     ["gen", "duffing", "--dt", "nan"],
@@ -263,6 +264,7 @@ def test_lambda_out_of_range_usage_error(ex1_files, capsys, command, lam):
     ["extract", "--estimate-phase", "--fundamental-hint", "nan"],
     ["extract", "--n", 0],
     ["extract", "--n", -4],
+    ["extract", "--n", 2**62],
     ["extract-local", "--K", 0],
     ["extract-local", "--mu", "nan"],
     ["extract-local", "--mu", "inf"],
@@ -287,3 +289,15 @@ def test_fundamental_hint_with_exact_phase_is_usage_error(ex1_files, capsys, com
     signal_path, phase_path, _ = ex1_files
     assert run([command, signal_path, "--phase", phase_path, "--fundamental-hint", 20]) == 2
     assert "--fundamental-hint applies only with --estimate-phase" in capsys.readouterr().err
+
+
+def test_memory_error_is_one_error_line(ex1_files, capsys, monkeypatch):
+    # a size within every rule can still be more than the machine holds
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627776,)")
+
+    signal_path, phase_path, _ = ex1_files
+    monkeypatch.setattr("shapewave.cli.extract_shape", fail)
+    assert run(["extract", signal_path, "--phase", phase_path, "--n", 2**40]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError: Unable to allocate 8.00 TiB for an array with shape (1099511627776,)\n"

@@ -38,6 +38,7 @@ CASES = {
     "resample-grid-float": lambda s, p: sw.resample_to_phase(s, p, 4096.0),
     "spectrum-empty": lambda s, p: sw.forward_spectrum([]),
     "interp-empty": lambda s, p: sw.interp_phase_to_time([], p),
+    "interp-grid-1000": lambda s, p: sw.interp_phase_to_time(np.ones(1000), p),
     "hint-nan": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=NAN)),
     "hint-inf": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=np.inf)),
     "dt-nan": lambda s, p: sw.DuffingParams(dt=NAN),
@@ -48,6 +49,15 @@ CASES = {
     "duffing-5-samples": lambda s, p: sw.gen_duffing(n_samples=5),
     "morph-l-theta-0": lambda s, p: sw.gen_morphing_shape(1024, np.cos, np.cos, l_theta=0),
     "morph-8-samples": lambda s, p: sw.gen_morphing_shape(8, np.cos, np.cos, l_theta=4),
+    "morph-l-theta-fraction": lambda s, p: sw.gen_morphing_shape(1000, np.cos, np.cos, l_theta=10.5),
+    "example1-fraction-samples": lambda s, p: sw.gen_example1(4096.5),
+    "duffing-fraction-samples": lambda s, p: sw.gen_duffing(n_samples=100.5),
+    "seed-fraction": lambda s, p: sw.NoiseSpec(seed=1.5).draw(3),
+    "band-limit-bool": lambda s, p: sw.extract_shape(s, p, band_limit=True),
+    "track-center-none": lambda s, p: sw.extract_shape_track(s, p, centers=[None]),
+    "window-center-string": lambda s, p: sw.window_segment(s, p, "5"),
+    "default-band-limit-l-theta-0": lambda s, p: sw.default_band_limit(64, 0),
+    "band-indices-l-theta-negative": lambda s, p: sw.band_indices(1, -3, 64),
 }
 
 
