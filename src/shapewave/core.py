@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DegenerateFactors,
+    InvalidArgument,
     MismatchedLengths,
     NonFiniteValue,
     NonIncreasingTimes,
@@ -116,7 +117,9 @@ class ShapeFunction:
         return evaluate_shape(self.coeffs, tau)
 
     def sample(self, m: int = SHAPE_GRID) -> np.ndarray:
-        """Values on the uniform grid tau_i = 2*pi*i/m, i = 0..m-1."""
+        """Values on the uniform grid tau_i = 2*pi*i/m, i = 0..m-1, for an integer 1 <= m <= MAX_COUNT."""
+        if not _is_count(m, 1, MAX_COUNT):
+            raise InvalidArgument(f"need an integer sample count from 1 to {MAX_COUNT}, got {m!r}")
         return self(2.0 * np.pi * np.arange(m) / m)
 
 

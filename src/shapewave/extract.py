@@ -140,14 +140,14 @@ def _check_band_limit(k_max) -> None:
         raise InvalidArgument(f"band limit must be at least 1 and an integer, got {k_max!r}")
 
 
-def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):
-    """Fit records that share l_theta, grid n and band count K as one stack.
+def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False):
+    """Fit records that share l_theta m, grid n and band count K as one stack.
 
-    ``records`` are (signal, phase) pairs.  One stacked resample, one
-    row-wise FFT and one band cut give their W x (K+1) x l_theta band
-    blocks, scaled by ``sqrt(n/l_theta)`` so that the column inner products
-    (hence sigma, the right vector and the objective) are those of the
-    n-sample bands.  One stacked SVD, one stacked normalization and one
+    ``phases`` holds each record's phase samples and ``values`` the records'
+    values back to back.  One stacked resample, one row-wise FFT and one
+    band cut give their W x (K+1) x m band blocks, scaled by ``sqrt(n/m)``
+    so that the column inner products (hence sigma, the right vector and
+    the objective) are those of the n-sample bands.  One stacked SVD, one stacked normalization and one
     stacked back-interpolation follow; every record's outputs equal those of
     a stack holding it alone.
 
@@ -158,15 +158,14 @@ def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):
         phase-grid envelopes (W x n) and the records' envelopes on their own
         time grids, back to back.
     """
-    m = records[0][1].l_theta
-    blocks = _band_samples(forward_spectrum(_resample_stack(records, n)), m, range(k_max + 1), m, True)
+    blocks = _band_samples(forward_spectrum(_resample_stack(phases, values, m, n)), m, range(k_max + 1), m, True)
     blocks *= np.sqrt(n / m)
     if zero_dc:
         blocks[:, 0] = 0.0
     fit = rank_one_fit(_band_matrix(blocks))
     # the bands live on the shifted variable theta - theta0; rotate the
     # coefficients so each shape is a function of its original phase
-    origins = np.array([phase.phase_origin for _, phase in records])
+    origins = np.array([p[0] for p in phases])
     c_raw = coefficients_from_right_vector(fit.right)
     c_raw *= np.exp(-1j * np.arange(k_max + 1) * origins[:, None])
     # zero-pad the envelopes to n points; the trim leaves an even m's bin m/2 empty
@@ -176,7 +175,7 @@ def _fit_stack(records, n: int, k_max: int, zero_dc: bool = False):
     # second copy of them shares memory with its spline
     closed = np.concatenate((values_phase, values_phase[:, :1]), axis=1)
     values_phase = closed[:, :-1]
-    values_time = _interp_stack(closed, [phase for _, phase in records])
+    values_time = _interp_stack(closed, phases)
     return fit, coeffs, values_phase, values_time
 
 
@@ -211,7 +210,8 @@ def extract_shape(
         ``envelope.values_time * shape(phase.phases)``.
     """
     n, k_max = _grid_and_bands(signal.n_samples, phase.l_theta, grid_size, band_limit)
-    fit, coeffs, values_phase, values_time = _fit_stack([(signal, phase)], n, k_max, zero_dc)
+    fit, coeffs, values_phase, values_time = _fit_stack(
+        [phase.phases], signal.values, phase.l_theta, n, k_max, zero_dc)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 

@@ -26,8 +26,8 @@ from .extract import _check_band_limit, _fit_stack, _grid_and_bands, _padded, _p
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
 
-#: Centers cut and fitted per pass.  Every window of a stack holds a few
-#: length-n spline buffers at once, so this bounds the working set: on a
+#: Most windows cut and fitted as one stack.  Every window of a stack holds a
+#: few length-n spline buffers at once, so this bounds the working set: on a
 #: default example1 track, 8 raise the peak RSS over per-window splines by
 #: about 0.3 MB, 10 by about 0.9 MB and 16 by about 3 MB.
 WINDOW_CHUNK = 8
@@ -110,27 +110,24 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     half = _half_periods(mu)
     if not (isinstance(center, numbers.Real) and math.isfinite(center) and center == int(center)):
         raise InvalidArgument(f"center must be a whole sample index, got {center!r}")
-    (cut,) = _cut_windows(signal, phase, [int(center)], half)
-    if isinstance(cut, ShapewaveError):
-        raise cut
-    return cut
+    (window,) = _windows(phase.phases, [int(center)], half)
+    if isinstance(window, ShapewaveError):
+        raise window
+    start, stop, l_theta = window[:3]
+    (phases,), values, chi = _cut(phase.phases, signal.values, [window])
+    return Signal(times=signal.times[start:stop], values=values), PhaseFunction(phases, l_theta), chi
 
 
-def _cut_windows(signal: Signal, phase: PhaseFunction, centers, half: int) -> list:
-    """Cut and taper the windows around sample indices ``centers`` in one pass.
+def _windows(theta: np.ndarray, centers: list, half: int) -> list:
+    """Find the window around each of the sample indices ``centers`` of phase ``theta`` in one pass.
 
-    One ``searchsorted`` finds every window's bounds and one taper
-    evaluation covers all windows.  Returns one entry per center: the
-    (segment, phase, taper) triple of :func:`window_segment`, or the
-    :class:`ShapewaveError` it raises for that center.
+    One ``searchsorted`` per side finds every window's bounds.  Returns one
+    entry per center: (start, stop, l_theta, center phase, periods left,
+    periods right), or the :class:`ShapewaveError` that :func:`window_segment`
+    raises for that center.
     """
-    theta = phase.phases
-    n_samples = signal.n_samples
-    cuts: list = [None if 0 <= c < n_samples else
-                  CenterOutOfRange(f"center index {c} out of range for {n_samples} samples")
-                  for c in centers]
-    inside = [i for i, cut in enumerate(cuts) if cut is None]
-    theta_m = theta[[centers[i] for i in inside]]
+    n_samples = len(theta)
+    theta_m = theta[[min(max(c, 0), n_samples - 1) for c in centers]]
     # count whole periods tolerantly so boundary samples are not lost to
     # floating-point representation of the phase; the counts stay floats,
     # so a mu past the float range takes every period in reach
@@ -138,38 +135,41 @@ def _cut_windows(signal: Signal, phase: PhaseFunction, centers, half: int) -> li
     half = float(min(half, sys.float_info.max))
     left = np.minimum(half, np.floor((theta_m - theta[0]) / (2.0 * np.pi) + eps))
     right = np.minimum(half, np.floor((theta[-1] - theta_m) / (2.0 * np.pi) + eps))
-    totals = left + right
-    for i, total in zip(inside, totals.tolist()):
-        if total < 2:
-            cuts[i] = WindowTooShort(f"only {int(total)} whole periods available around sample {centers[i]}")
-    keep = totals >= 2
-    if not np.any(keep):
-        return cuts
-    inside = [i for i, kept in zip(inside, keep.tolist()) if kept]
-    theta_m, left, right = theta_m[keep], left[keep], right[keep]
     # the phase increases strictly, so each window is one run of samples
     starts = np.searchsorted(theta, theta_m - 2.0 * np.pi * left - eps, "left")
     stops = np.searchsorted(theta, theta_m + 2.0 * np.pi * right + eps, "right")
-    bounds = list(zip(starts.tolist(), stops.tolist()))
-    # the windows back to back: phase offsets, tapers and tapered values
-    counts = stops - starts
-    offsets = np.concatenate([theta[start:stop] for start, stop in bounds])
+    windows: list = []
+    for c, start, stop, center, periods_left, periods_right in zip(
+            centers, starts.tolist(), stops.tolist(), theta_m.tolist(), left.tolist(), right.tolist()):
+        try:
+            if not 0 <= c < n_samples:
+                raise CenterOutOfRange(f"center index {c} out of range for {n_samples} samples")
+            if periods_left + periods_right < 2:
+                raise WindowTooShort(f"only {int(periods_left + periods_right)} whole periods "
+                                     f"available around sample {c}")
+            _check_sample_count(stop - start)
+            windows.append((start, stop, _whole_periods(theta[start:stop]), center, periods_left, periods_right))
+        except ShapewaveError as exc:
+            windows.append(exc)
+    return windows
+
+
+def _cut(theta: np.ndarray, values: np.ndarray, windows: list):
+    """Cut and taper found windows of a record in one pass.
+
+    Returns the windows' phases (views of ``theta``), their tapered values
+    back to back, and their tapers back to back; one taper evaluation
+    covers all windows.
+    """
+    starts, stops, _, theta_m, left, right = zip(*windows)
+    phases = [theta[start:stop] for start, stop in zip(starts, stops)]
+    counts = [len(p) for p in phases]
+    cut = np.concatenate([values[start:stop] for start, stop in zip(starts, stops)])
+    offsets = np.concatenate(phases)
     offsets -= np.repeat(theta_m, counts)
     chi = raised_cosine_taper(offsets, np.repeat(left, counts), np.repeat(right, counts))
-    values = np.concatenate([signal.values[start:stop] for start, stop in bounds])
-    values *= chi
-    end = 0
-    for i, (start, stop) in zip(inside, bounds):
-        window = slice(end, end + stop - start)
-        end = window.stop
-        try:
-            _check_sample_count(stop - start)
-            segment_phase = PhaseFunction(phases=theta[start:stop], l_theta=_whole_periods(theta[start:stop]))
-        except ShapewaveError as exc:
-            cuts[i] = exc
-        else:
-            cuts[i] = (Signal(times=signal.times[start:stop], values=values[window]), segment_phase, chi[window])
-    return cuts
+    cut *= chi
+    return phases, cut, chi
 
 
 def default_centers(signal: Signal, phase: PhaseFunction, mu: float = 3.0) -> np.ndarray:
@@ -197,11 +197,12 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     for each window is de-biased by the taper where the taper exceeds
     ``TAPER_RELIABLE`` and set to NaN elsewhere.
 
-    The windows are cut and fitted ``WINDOW_CHUNK`` centers at a time: each
-    chunk is cut in one pass, and its windows that share their period count,
-    grid and band limit are fitted as one stack.  Each window's shape and
-    envelope equal those of :func:`extract_shape` on its own segment with the
-    same ``band_limit``, and each drift equals :func:`shape_distance` of its pair.
+    Every window of the track is found in one pass and grouped by its period
+    count, grid and band limit; each group is fitted in stacks of at most
+    ``WINDOW_CHUNK`` windows, each stack cut in one pass.  Each window's shape
+    and envelope equal those of :func:`extract_shape` on its own segment with
+    the same ``band_limit``, and each drift equals :func:`shape_distance` of
+    its pair.
     A ``mu`` or ``band_limit`` out of range, or a NaN or infinite center,
     raises :class:`InvalidArgument`; finite centers are truncated to sample
     indices.
@@ -221,19 +222,17 @@ def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: 
     shapes: list[ShapeFunction | None] = [None] * count
     envelopes: list[np.ndarray | None] = [None] * count
     errors: list[str | None] = [None] * count
-    for start in range(0, count, WINDOW_CHUNK):
-        groups: dict[tuple, list] = {}
-        chunk = center_idx[start : start + WINDOW_CHUNK].tolist()
-        for i, cut in enumerate(_cut_windows(signal, phase, chunk, half), start):
-            if isinstance(cut, ShapewaveError):
-                errors[i] = _describe(cut)
-                continue
-            segment, segment_phase, chi = cut
-            m = segment_phase.l_theta
-            key = (m, *_grid_and_bands(segment.n_samples, m, None, band_limit))
-            groups.setdefault(key, []).append((i, segment, segment_phase, chi))
-        for (_, n, k_max), members in groups.items():
-            for i, shape, env, error in _fit_windows(members, n, k_max):
+    windows = _windows(phase.phases, center_idx.tolist(), half)
+    groups: dict[tuple, list] = {}
+    for i, window in enumerate(windows):
+        if isinstance(window, ShapewaveError):
+            errors[i] = _describe(window)
+        else:
+            start, stop, m = window[:3]
+            groups.setdefault((m, *_grid_and_bands(stop - start, m, None, band_limit)), []).append((i, window))
+    for (m, n, k_max), members in groups.items():
+        for j in range(0, len(members), WINDOW_CHUNK):
+            for i, shape, env, error in _fit_windows(signal, phase, members[j : j + WINDOW_CHUNK], m, n, k_max):
                 shapes[i], envelopes[i], errors[i] = shape, env, error
 
     # an out-of-range center has no time; its window failed above
@@ -254,29 +253,29 @@ def _describe(exc: ShapewaveError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _fit_windows(members, n: int, k_max: int) -> list[tuple]:
-    """Fit windows that share l_theta, grid n and band count K as one stack.
+def _fit_windows(signal: Signal, phase: PhaseFunction, members, m: int, n: int, k_max: int) -> list[tuple]:
+    """Cut windows that share l_theta m, grid n and band count K in one pass and fit them as one stack.
 
-    ``members`` are (index, segment, segment phase, taper) tuples.  Returns
+    ``members`` are (index, window) pairs of :func:`_windows`.  Returns
     (index, shape, envelope, error text) per window.  A failure of the
     stack is attributed by fitting its windows one by one, so one bad window
     never costs its neighbours their fit.
     """
-    records = [(segment, segment_phase) for _, segment, segment_phase, _ in members]
+    phases, values, chi = _cut(phase.phases, signal.values, [window for _, window in members])
     try:
-        _, coeffs, _, values_time = _fit_stack(records, n, k_max)
+        _, coeffs, _, values_time = _fit_stack(phases, values, m, n, k_max)
     except ShapewaveError as exc:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]
-        return [out for member in members for out in _fit_windows([member], n, k_max)]
-    lengths = [len(chi) for *_, chi in members]
-    taper = np.concatenate([chi for *_, chi in members])
-    # one array for the stack's de-biased envelopes, allocated after its splines: with an array
-    # per window, malloc returned the splines' freed buffers to the system after every stack,
-    # and a default track took about 3 500 page faults instead of about 500
-    envelopes = np.divide(values_time, taper, out=np.full(len(taper), np.nan), where=taper > TAPER_RELIABLE)
-    return [(i, ShapeFunction(coeffs=c), env, None)
-            for (i, *_), c, env in zip(members, coeffs, np.split(envelopes, np.cumsum(lengths[:-1])))]
+        return [out for member in members for out in _fit_windows(signal, phase, [member], m, n, k_max)]
+    # the de-biased envelopes overwrite the stack's back-interpolated values, allocated after its splines:
+    # a second array (or one per window) let malloc hand the splines' freed buffers back to the system
+    # after every stack, and a default track took up to twice the page faults
+    reliable = chi > TAPER_RELIABLE
+    envelopes = np.divide(values_time, chi, out=values_time, where=reliable)
+    envelopes[~reliable] = np.nan
+    envelopes = np.split(envelopes, np.cumsum([len(p) for p in phases[:-1]]))
+    return [(i, ShapeFunction(coeffs=c), env, None) for (i, _), c, env in zip(members, coeffs, envelopes)]
 
 
 def _drift(shapes) -> np.ndarray:

@@ -99,7 +99,7 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
     ------
     InvalidArgument
         If ``x`` and ``y`` are not 1-d of one length with at least two nodes,
-        a node is not finite, or ``x`` decreases anywhere (the spline core
+        a node, value or query is not finite, or ``x`` decreases anywhere (the spline core
         would read a new node set there).
     DegenerateInput
         If a node repeats, or LAPACK reports the slope system singular.
@@ -108,8 +108,9 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
     if x.ndim != 1 or y.shape != x.shape or len(x) < 2:
         raise InvalidArgument(f"spline needs 1-d nodes and values of one length, at least two; "
                               f"got shapes {x.shape} and {y.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgument("spline nodes must be finite")
+    for name, a in (("nodes", x), ("values", y), ("queries", xq)):
+        if not np.all(np.isfinite(a)):
+            raise InvalidArgument(f"spline {name} must be finite")
     if np.any(x[1:] < x[:-1]):
         raise InvalidArgument("spline nodes must be increasing")
     if np.any(x[1:] == x[:-1]):
@@ -225,7 +226,7 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDoma
     GridTooCoarse
         If ``n < 4 * l_theta``.
     """
-    values = _resample_stack([(signal, phase)], n)[0]
+    values = _resample_stack([phase.phases], signal.values, phase.l_theta, n)[0]
     return PhaseDomainSignal(
         grid=NormalizedPhaseGrid(n=n),
         values=values,
@@ -234,31 +235,30 @@ def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDoma
     )
 
 
-def _resample_stack(records, n: int) -> np.ndarray:
-    """:func:`resample_to_phase` values of (signal, phase) records, one row each.
+def _resample_stack(phases, values, l_theta: int, n: int) -> np.ndarray:
+    """:func:`resample_to_phase` values of records with ``l_theta`` periods, one row each.
 
-    All records are resampled by one stacked spline.  Query j of a record
-    lies in the interval that counts its interior nodes with
-    ``phi_l <= j/n``, i.e. ``ceil(phi_l*n) <= j``: a running sum of a
+    ``phases`` holds each record's phase samples and ``values`` the records'
+    values back to back.  All records are resampled by one stacked spline.
+    Query j of a record lies in the interval that counts its interior nodes
+    with ``phi_l <= j/n``, i.e. ``ceil(phi_l*n) <= j``: a running sum of a
     ``bincount``, offset by the nodes of the records before it.  This is
     exact: n is a power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
     """
     _check_power_of_two(n, "grid size")
-    l_theta = max(phase.l_theta for _, phase in records)
     if n < 4 * l_theta:
         raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * l_theta}")
-    x = _joined([phase.normalized() for _, phase in records])
-    index = np.empty((len(records), n), dtype=np.intp)
+    x = _joined([(p - p[0]) / (p[-1] - p[0]) for p in phases])
+    index = np.empty((len(phases), n), dtype=np.intp)
     lo = 0
-    for row, (_, phase) in zip(index, records):
-        hi = lo + len(phase.phases)
+    for row, p in zip(index, phases):
+        hi = lo + len(p)
         first = np.ceil(x[lo + 1 : hi - 1] * n).clip(0, n).astype(np.intp)
         np.cumsum(np.bincount(first, minlength=n + 1)[:n], out=row)
         row += lo
         lo = hi
-    values = _joined([signal.values for signal, _ in records])
     grid = NormalizedPhaseGrid(n=n).nodes
-    return _spline(x, values, _joined([grid] * len(records)), index.ravel()).reshape(len(records), n)
+    return _spline(x, values, _joined([grid] * len(phases)), index.ravel()).reshape(len(phases), n)
 
 
 def _top_band(n: int, l_theta: int) -> int:
@@ -284,8 +284,11 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
     BandExceedsNyquist
         If the band does not fit below the Nyquist frequency n/2.
     InvalidArgument
-        If ``l_theta`` is not an integer of at least 1.
+        If ``k`` is not an integer of either sign (NumPy's included, bools
+        not), or ``l_theta`` is not an integer of at least 1.
     """
+    if not _is_count(k, -np.inf):
+        raise InvalidArgument(f"band index must be an integer, got {k!r}")
     half_hi = (l_theta + 1) // 2
     if abs(k) > _top_band(n, l_theta):
         raise BandExceedsNyquist(
@@ -308,7 +311,7 @@ def _band_samples(spectrum: np.ndarray, l_theta: int, ks, size: int, trim_unpair
     gives one such block of rows per record.
     """
     n = spectrum.shape[-1]
-    k_far = int(max(ks[0], ks[-1], key=abs))
+    k_far = max(ks[0], ks[-1], key=abs)
     lo, hi = band_indices(k_far, l_theta, n)
     ks = np.asarray(ks)
     offsets = np.arange(lo, hi + 1) - k_far * l_theta
@@ -341,11 +344,11 @@ def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
     if values_phase.ndim != 1:
         raise InvalidArgument("phase-grid samples must be a 1-d sequence")
     _check_power_of_two(len(values_phase), "phase-grid length")
-    return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase])
+    return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase.phases])
 
 
 def _interp_stack(closed: np.ndarray, phases) -> np.ndarray:
-    """:func:`interp_phase_to_time` of each row of ``closed`` at its own phase, back to back.
+    """:func:`interp_phase_to_time` of each row of ``closed`` at its own phase samples, back to back.
 
     Row r holds the samples at the nodes ``k/n``, k = 0..n, the grid closed
     periodically (its last sample is its first).  All rows share the nodes,
@@ -356,7 +359,7 @@ def _interp_stack(closed: np.ndarray, phases) -> np.ndarray:
     """
     n = closed.shape[-1] - 1
     nodes = np.arange(n + 1) / n
-    phi = _joined([phase.normalized() for phase in phases])
+    phi = _joined([(p - p[0]) / (p[-1] - p[0]) for p in phases])
     i = (phi * n).clip(0, n - 1).astype(np.intp)
-    i += np.repeat(np.arange(len(phases)) * (n + 1), [len(phase.phases) for phase in phases])
+    i += np.repeat(np.arange(len(phases)) * (n + 1), [len(p) for p in phases])
     return _spline(_joined([nodes] * len(phases)), closed.ravel(), phi, i)

@@ -58,6 +58,13 @@ CASES = {
     "window-center-string": lambda s, p: sw.window_segment(s, p, "5"),
     "default-band-limit-l-theta-0": lambda s, p: sw.default_band_limit(64, 0),
     "band-indices-l-theta-negative": lambda s, p: sw.band_indices(1, -3, 64),
+    "band-indices-k-fraction": lambda s, p: sw.band_indices(1.5, 20, 4096),
+    "band-indices-k-bool": lambda s, p: sw.band_indices(True, 20, 4096),
+    "demodulated-band-k-fraction": lambda s, p: sw.extract_demodulated_band(sw.resample_to_phase(s, p, 4096), 1.5),
+    "demodulated-band-k-bool": lambda s, p: sw.extract_demodulated_band(sw.resample_to_phase(s, p, 4096), True),
+    "sample-fraction": lambda s, p: sw.ShapeFunction(np.ones(3, complex)).sample(2.5),
+    "sample-bool": lambda s, p: sw.ShapeFunction(np.ones(3, complex)).sample(True),
+    "sample-0": lambda s, p: sw.ShapeFunction(np.ones(3, complex)).sample(0),
 }
 
 

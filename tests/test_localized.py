@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shapewave as sw
-from shapewave.localized import TAPER_RELIABLE, WINDOW_CHUNK, _cut_windows, _drift
+from shapewave.localized import TAPER_RELIABLE, WINDOW_CHUNK, _cut, _drift, _windows
 
 from conftest import TAU_GRID
 
@@ -82,6 +82,22 @@ def cut_outcome(cut):
         return type(cut), str(cut)
     segment, segment_phase, chi = cut
     return segment_phase.l_theta, segment.times, segment.values, segment_phase.phases, chi
+
+
+def found_and_cut(signal, phase, centers, half):
+    """The windows around ``centers`` found in one pass and cut in stacks of ``WINDOW_CHUNK``,
+    as the tracker cuts them: one :func:`cut_outcome` per center."""
+    windows = _windows(phase.phases, centers, half)
+    outcomes = [cut_outcome(w) if isinstance(w, Exception) else None for w in windows]
+    found = [i for i, w in enumerate(windows) if not isinstance(w, Exception)]
+    for lo in range(0, len(found), WINDOW_CHUNK):
+        stack = found[lo : lo + WINDOW_CHUNK]
+        phases, values, chi = _cut(phase.phases, signal.values, [windows[i] for i in stack])
+        bounds = np.cumsum([len(p) for p in phases])[:-1]
+        for i, p, v, c in zip(stack, phases, np.split(values, bounds), np.split(chi, bounds)):
+            start, stop, l_theta = windows[i][:3]
+            outcomes[i] = l_theta, signal.times[start:stop], v, p, c
+    return outcomes
 
 
 def outcome_of(cutter, *args):
@@ -262,8 +278,8 @@ class TestChunkCutter:
                  "middle": range(n), "after": [n, n + 1, n + 7]}
         centers = [pools[kind][draw % len(pools[kind])] for kind, draw in picks]
         expected = [outcome_of(reference_window_segment, signal, phase, center, mu) for center in centers]
-        for got, want in zip(_cut_windows(signal, phase, centers, int(mu)), expected, strict=True):
-            assert_same_cut(cut_outcome(got), want)
+        for got, want in zip(found_and_cut(signal, phase, centers, int(mu)), expected, strict=True):
+            assert_same_cut(got, want)
         for center, want in zip(centers, expected):
             assert_same_cut(outcome_of(sw.window_segment, signal, phase, center, mu), want)
 
@@ -272,17 +288,15 @@ class TestChunkCutter:
         ("aligned", {"TooFewPeriods"}),
     ])
     def test_every_center_matches_reference(self, record, kinds):
-        # every center of the record in chunks, as the tracker cuts them
+        # every center of the record, found in one pass and cut in stacks as the tracker cuts them
         signal, phase = cutter_record(record)
         seen = set()
         for mu in (1, 2, 3.5, 5.5):
             centers = list(range(-2, signal.n_samples + 2))
-            for start in range(0, len(centers), WINDOW_CHUNK):
-                chunk = centers[start : start + WINDOW_CHUNK]
-                for center, got in zip(chunk, _cut_windows(signal, phase, chunk, int(mu))):
-                    want = outcome_of(reference_window_segment, signal, phase, center, mu)
-                    assert_same_cut(cut_outcome(got), want)
-                    seen.add(want[0].__name__ if isinstance(want[0], type) else "cut")
+            for center, got in zip(centers, found_and_cut(signal, phase, centers, int(mu)), strict=True):
+                want = outcome_of(reference_window_segment, signal, phase, center, mu)
+                assert_same_cut(got, want)
+                seen.add(want[0].__name__ if isinstance(want[0], type) else "cut")
         assert seen == kinds | {"CenterOutOfRange", "WindowTooShort", "cut"}
 
     def test_mu_past_float_range_takes_every_period(self):
@@ -372,6 +386,30 @@ class TestBatchedTrack:
         track = sw.extract_shape_track(zeroed, phase, centers=centers, mu=3)
         assert track.errors == [None, "DegenerateInput: band matrix is identically zero", None]
         assert_track_matches_per_window(zeroed, phase, track, mu=3)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(picks=st.lists(st.tuples(st.sampled_from(["before", "start", "end", "after"] + ["middle"] * 4),
+                                    st.integers(0, 2**31)),
+                          min_size=2 * WINDOW_CHUNK + 1, max_size=4 * WINDOW_CHUNK),
+           mu=st.sampled_from([2, 3, 4.5]))
+    def test_grouped_track_matches_per_window(self, example1, picks, mu):
+        # mid-record centers enough for groups past one stack, centers out of
+        # range or too close to an end for a window, and windows clipped at an
+        # end to fewer periods, so one track's groups differ in period count
+        signal, phase = noisy_example1(example1)
+        n = signal.n_samples
+        pools = {"before": [-7, -1], "start": range(0, 700), "middle": range(700, n - 700),
+                 "end": range(n - 700, n), "after": [n, n + 3]}
+        centers = [pools[kind][draw % len(pools[kind])] for kind, draw in picks]
+        track = sw.extract_shape_track(signal, phase, centers=centers, mu=mu)
+        assert_track_matches_per_window(signal, phase, track, mu)
+        shapes = track.shapes
+        assert track.drift[0] == 0.0 if shapes[0] is not None else np.isnan(track.drift[0])
+        for i in range(1, len(shapes)):
+            if shapes[i - 1] is None or shapes[i] is None:
+                assert np.isnan(track.drift[i])
+            else:
+                assert abs(track.drift[i] - sw.shape_distance(shapes[i - 1], shapes[i])) <= 1e-15
 
     def test_drift_matches_shape_distance(self, example1):
         signal, phase = noisy_example1(example1)

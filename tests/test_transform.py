@@ -317,20 +317,24 @@ class TestNaturalCubicSpline:
         y = np.array([1.5, -0.5, 2.5])[:nodes]
         self.assert_matches_scipy(x, y, np.linspace(-0.5, 2.5, 31))
 
-    @pytest.mark.parametrize("x, y, match", [
-        pytest.param([1.0, 0.0], None, "spline nodes must be increasing", id="x0"),
-        pytest.param([2.0, 1.0, 0.0], None, "spline nodes must be increasing", id="x1"),
-        pytest.param([0.0, 2.0, 1.0, 3.0], None, "spline nodes must be increasing", id="x2"),
-        pytest.param([0.0], None, "at least two", id="one-node"),
-        pytest.param([0.0, 1.0, 2.0], [1.0, 2.0], "of one length", id="short-values"),
-        pytest.param([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]], "1-d", id="2-d-nodes"),
-        pytest.param([0.0, np.nan, 1.0], None, "finite", id="nan-node"),
-        pytest.param([0.0, 1.0, np.inf], None, "finite", id="inf-node"),
+    @pytest.mark.parametrize("x, y, xq, match", [
+        pytest.param([1.0, 0.0], None, None, "spline nodes must be increasing", id="x0"),
+        pytest.param([2.0, 1.0, 0.0], None, None, "spline nodes must be increasing", id="x1"),
+        pytest.param([0.0, 2.0, 1.0, 3.0], None, None, "spline nodes must be increasing", id="x2"),
+        pytest.param([0.0], None, None, "at least two", id="one-node"),
+        pytest.param([0.0, 1.0, 2.0], [1.0, 2.0], None, "of one length", id="short-values"),
+        pytest.param([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]], None, "1-d", id="2-d-nodes"),
+        pytest.param([0.0, np.nan, 1.0], None, None, "nodes must be finite", id="nan-node"),
+        pytest.param([0.0, 1.0, np.inf], None, None, "nodes must be finite", id="inf-node"),
+        pytest.param([0.0, 1.0, 2.0], [0.0, np.nan, 1.0], None, "values must be finite", id="nan-value"),
+        pytest.param([0.0, 1.0, 2.0], [0.0, 1.0, -np.inf], None, "values must be finite", id="inf-value"),
+        pytest.param([0.0, 1.0, 2.0], None, [0.5, np.nan], "queries must be finite", id="nan-query"),
+        pytest.param([0.0, 1.0, 2.0], None, [[np.inf]], "queries must be finite", id="inf-query"),
     ])
-    def test_decreasing_nodes_are_typed_error(self, x, y, match):
+    def test_decreasing_nodes_are_typed_error(self, x, y, xq, match):
         y = np.arange(len(x), dtype=float) if y is None else y
         with pytest.raises(InvalidArgument, match=match):
-            transform.natural_cubic_spline(x, y, [0.5])
+            transform.natural_cubic_spline(x, y, [0.5] if xq is None else xq)
 
     @pytest.mark.parametrize("x", [[0.0, 0.0], [0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0]],
                              ids=["two-equal", "interior", "end"])
@@ -451,7 +455,9 @@ class TestSplineIntervals:
         lengths = [len(phase.phases) for _, phase in records]
         starts = np.cumsum([0] + lengths[:-1])
 
-        x, xq, i = spline_call(lambda: transform._resample_stack(records, n))
+        phases = [phase.phases for _, phase in records]
+        values = np.concatenate([signal.values for signal, _ in records])
+        x, xq, i = spline_call(lambda: transform._resample_stack(phases, values, 1, n))
         grid = np.arange(n) / n
         np.testing.assert_array_equal(xq, np.tile(grid, count))
         expected = [np.searchsorted(x[lo + 1 : lo + size - 1], grid, "right") + lo
@@ -459,7 +465,7 @@ class TestSplineIntervals:
         np.testing.assert_array_equal(i, np.concatenate(expected))
 
         closed = np.cos(np.arange(count * (n + 1))).reshape(count, n + 1)
-        x, xq, i = spline_call(lambda: transform._interp_stack(closed, [p for _, p in records]))
+        x, xq, i = spline_call(lambda: transform._interp_stack(closed, phases))
         nodes = np.arange(n + 1) / n
         np.testing.assert_array_equal(x, np.tile(nodes, count))
         expected = [np.searchsorted(nodes[1:-1], xq[lo : lo + size], "right") + r * (n + 1)
@@ -510,14 +516,15 @@ class TestStackedSpline:
     @given(records=record_stack(), log_n=st.integers(2, 10), log_n_interp=st.integers(1, 10))
     def test_rows_equal_single_record_splines(self, records, log_n, log_n_interp):
         n, n_interp = 1 << log_n, 1 << log_n_interp
-        stacked = transform._resample_stack(records, n)
+        phases = [phase.phases for _, phase in records]
+        stacked = transform._resample_stack(phases, np.concatenate([signal.values for signal, _ in records]), 1, n)
         assert stacked.shape == (len(records), n)
         for row, (signal, phase) in zip(stacked, records):
             assert np.array_equal(row, sw.resample_to_phase(signal, phase, n).values)
 
         values = np.sin(np.arange(len(records) * n_interp) * 0.7).reshape(len(records), n_interp)
         closed = np.concatenate((values, values[:, :1]), axis=1)
-        flat = transform._interp_stack(closed, [phase for _, phase in records])
+        flat = transform._interp_stack(closed, phases)
         rows = np.split(flat, np.cumsum([len(phase.phases) for _, phase in records])[:-1])
         for row, v, (_, phase) in zip(rows, values, records):
             assert np.array_equal(row, sw.interp_phase_to_time(v, phase))
