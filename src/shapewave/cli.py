@@ -20,11 +20,10 @@ from .core import SHAPE_GRID, validate_signal
 from .datasets import (
     DuffingParams,
     NoiseSpec,
-    _check_times,
+    _load_phase_file,
     gen_duffing,
     gen_example1,
     gen_morphing_shape,
-    load_phase_csv,
     load_signal_csv,
     write_envelope_csv,
     write_phase_csv,
@@ -35,7 +34,7 @@ from .datasets import (
 from .errors import InvalidArgument, ShapewaveError
 from .extract import extract_shape
 from .localized import extract_shape_track
-from .phase import PhaseEstimateConfig, estimate_phase, exact_phase_from_samples
+from .phase import PhaseEstimateConfig, estimate_phase
 
 MORPH_TARGET_WOBBLE = 0.5
 
@@ -112,10 +111,7 @@ def _load_phase(args, parser, signal):
         if args.fundamental_hint is not None:
             parser.error("--fundamental-hint applies only with --estimate-phase")
         _require_file(parser, args.phase)
-        times, phases = load_phase_csv(args.phase)
-        phase = exact_phase_from_samples(signal, phases)
-        _check_times(args.phase, times, signal)
-        return phase
+        return _load_phase_file(args.phase, signal)
     return estimate_phase(signal, config)
 
 

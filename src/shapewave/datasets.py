@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_COUNT, MIN_SAMPLES, Signal, _is_count, validate_signal
+from .core import MAX_COUNT, MIN_SAMPLES, PhaseFunction, Signal, _is_count, validate_phase, validate_signal
 from .errors import InvalidArgument, MismatchedLengths, NonFiniteState, ParseError
 
 #: Absolute value beyond which an ODE trajectory counts as blown up.
@@ -213,26 +213,29 @@ def gen_morphing_shape(n_samples: int, shape_a, shape_b, l_theta: int) -> Signal
 
 
 def _read_two_columns(path, expected_header):
+    """The two columns of a CSV file after its header record, and each data record's physical line."""
     with open(path, "rb") as handle:
         raw = handle.read()
-    rows = []
+    rows, lines = [], []
     try:
         reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))
-        for line_no, row in enumerate(reader, start=1):
+        for record, row in enumerate(reader):
             if not row:
                 continue
-            if line_no == 1:
+            line = reader.line_num
+            if record == 0:
                 header = tuple(cell.strip() for cell in row)
                 if header != expected_header:
                     raise ParseError(f"expected header {','.join(expected_header)!r}, got "
-                                     f"{','.join(header)!r} at line 1", line=1)
+                                     f"{','.join(header)!r} at line {line}", line=line)
                 continue
             if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)} at line {line_no}", line=line_no)
+                raise ParseError(f"expected 2 columns, got {len(row)} at line {line}", line=line)
             try:
                 rows.append((float(row[0]), float(row[1])))
             except ValueError:
-                raise ParseError(f"non-numeric value at line {line_no}", line=line_no) from None
+                raise ParseError(f"non-numeric value at line {line}", line=line) from None
+            lines.append(line)
     except UnicodeDecodeError as exc:
         # the line of the first bad byte, with line ends as the reader counts them
         line = len((raw[: exc.start] + b".").splitlines())
@@ -242,30 +245,31 @@ def _read_two_columns(path, expected_header):
     if not rows:
         raise ParseError("no data records", line=1)
     data = np.asarray(rows, dtype=float)
-    return data[:, 0], data[:, 1]
+    return data[:, 0], data[:, 1], lines
 
 
 def load_signal_csv(path) -> Signal:
     """Read a ``t,f`` file and validate it as a :class:`Signal`."""
-    times, values = _read_two_columns(path, ("t", "f"))
+    times, values, _ = _read_two_columns(path, ("t", "f"))
     return validate_signal(times, values)
 
 
 def load_phase_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``t,theta`` file and return its raw times and phase samples."""
-    return _read_two_columns(path, ("t", "theta"))
+    return _read_two_columns(path, ("t", "theta"))[:2]
 
 
-def _check_times(path, times, signal: Signal):
-    """Raise ParseError at the first line of ``path`` whose time is off the signal's."""
+def _load_phase_file(path, signal: Signal) -> PhaseFunction:
+    """Read a ``t,theta`` file as the validated phase of ``signal``, whose times it must match."""
+    times, phases, lines = _read_two_columns(path, ("t", "theta"))
+    phase = validate_phase(signal, phases)
     tol = TIME_TOLERANCE * np.min(np.diff(signal.times))
     bad = np.flatnonzero(~(np.abs(times - signal.times) <= tol))
     if len(bad):
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            line = [reader.line_num for row in reader if row][bad[0] + 1]
+        line = lines[bad[0]]
         raise ParseError(f"time at line {line} is not the signal's within {tol:.3g} "
                          f"({TIME_TOLERANCE:g} of its smallest sample step)", line=line)
+    return phase
 
 
 def _write_two_columns(path, header, col_a, col_b):

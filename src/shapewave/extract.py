@@ -35,7 +35,6 @@ from .transform import (
     _resample_stack,
     _top_band,
     default_grid_size,
-    forward_spectrum,
 )
 
 #: Cap on the automatically chosen number of harmonic bands.
@@ -89,13 +88,13 @@ def rank_one_fit(matrix: BandMatrix) -> Rank1Fit:
     NonConvergence
         If the underlying SVD fails to converge.
     """
-    entries = matrix.entries
-    if np.any(np.sum(entries * entries, axis=(-2, -1)) == 0.0):
-        raise DegenerateInput("band matrix is identically zero")
     try:
-        u, s, vt = np.linalg.svd(entries, full_matrices=False)
+        u, s, vt = np.linalg.svd(matrix.entries, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"SVD failed: {exc}") from exc
+    # the SVD of a zero matrix is exact zeros; a sum of squared entries would underflow
+    if np.any(s[..., 0] == 0.0):
+        raise DegenerateInput("band matrix is identically zero")
     return Rank1Fit(
         left=u[..., :, 0],
         right=vt[..., 0, :],
@@ -158,7 +157,7 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
         phase-grid envelopes (W x n) and the records' envelopes on their own
         time grids, back to back.
     """
-    blocks = _band_samples(forward_spectrum(_resample_stack(phases, values, m, n)), m, range(k_max + 1), m, True)
+    blocks = _band_samples(np.fft.fft(_resample_stack(phases, values, m, n)), m, range(k_max + 1), m, True)
     blocks *= np.sqrt(n / m)
     if zero_dc:
         blocks[:, 0] = 0.0
@@ -218,7 +217,8 @@ def extract_shape(
     # singular values past rank l_theta are reported as 0
     s = fit.singular_values[0]
     singular_values = np.concatenate((s, np.zeros(2 * len(coeffs) - 1 - len(s))))
-    s_sq = singular_values**2
+    # squared after a power-of-two scale to sigma1, so that neither a tiny nor a huge record under- or overflows
+    s_sq = np.ldexp(singular_values, -np.frexp(s[0])[1]) ** 2
     diagnostics = FitDiagnostics(
         singular_values=singular_values,
         rank1_energy_fraction=float(s_sq[0] / np.sum(s_sq)),

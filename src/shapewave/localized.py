@@ -32,6 +32,9 @@ TAPER_RELIABLE = 0.1
 #: about 0.3 MB, 10 by about 0.9 MB and 16 by about 3 MB.
 WINDOW_CHUNK = 8
 
+#: Tolerance of a window's whole-period counts (in periods) and bounds (in radians).
+_EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class ShapeTrack:
@@ -69,11 +72,22 @@ def raised_cosine_taper(delta_theta, half_periods_left, half_periods_right=None)
     return 0.5 * (1.0 + np.cos(ratio))
 
 
-def _half_periods(mu) -> int:
-    """The whole periods per side of a window of half-width ``mu``: ``floor(mu)``, for 1 <= mu < inf."""
+def _half_periods(mu) -> float:
+    """The whole periods per side of a window of half-width ``mu``: ``floor(mu)``, for 1 <= mu < inf.
+
+    A float, so that a ``mu`` past the float range takes every period in reach."""
     if not 1.0 <= mu < np.inf:
         raise InvalidArgument(f"mu must be >= 1, got {mu}")
-    return int(mu)
+    return float(min(int(mu), sys.float_info.max))
+
+
+def _periods_per_side(theta: np.ndarray, theta_m, half: float):
+    """Whole periods of ``theta`` before and after each center phase ``theta_m``, at most ``half``.
+
+    Counted tolerantly, so boundary samples are not lost to the phase's rounding."""
+    left = np.minimum(half, np.floor((theta_m - theta[0]) / (2.0 * np.pi) + _EPS))
+    right = np.minimum(half, np.floor((theta[-1] - theta_m) / (2.0 * np.pi) + _EPS))
+    return left, right
 
 
 def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float = 3.0):
@@ -118,7 +132,7 @@ def window_segment(signal: Signal, phase: PhaseFunction, center: int, mu: float 
     return Signal(times=signal.times[start:stop], values=values), PhaseFunction(phases, l_theta), chi
 
 
-def _windows(theta: np.ndarray, centers: list, half: int) -> list:
+def _windows(theta: np.ndarray, centers: list, half: float) -> list:
     """Find the window around each of the sample indices ``centers`` of phase ``theta`` in one pass.
 
     One ``searchsorted`` per side finds every window's bounds.  Returns one
@@ -128,16 +142,10 @@ def _windows(theta: np.ndarray, centers: list, half: int) -> list:
     """
     n_samples = len(theta)
     theta_m = theta[[min(max(c, 0), n_samples - 1) for c in centers]]
-    # count whole periods tolerantly so boundary samples are not lost to
-    # floating-point representation of the phase; the counts stay floats,
-    # so a mu past the float range takes every period in reach
-    eps = 1e-9
-    half = float(min(half, sys.float_info.max))
-    left = np.minimum(half, np.floor((theta_m - theta[0]) / (2.0 * np.pi) + eps))
-    right = np.minimum(half, np.floor((theta[-1] - theta_m) / (2.0 * np.pi) + eps))
+    left, right = _periods_per_side(theta, theta_m, half)
     # the phase increases strictly, so each window is one run of samples
-    starts = np.searchsorted(theta, theta_m - 2.0 * np.pi * left - eps, "left")
-    stops = np.searchsorted(theta, theta_m + 2.0 * np.pi * right + eps, "right")
+    starts = np.searchsorted(theta, theta_m - 2.0 * np.pi * left - _EPS, "left")
+    stops = np.searchsorted(theta, theta_m + 2.0 * np.pi * right + _EPS, "right")
     windows: list = []
     for c, start, stop, center, periods_left, periods_right in zip(
             centers, starts.tolist(), stops.tolist(), theta_m.tolist(), left.tolist(), right.tolist()):
@@ -175,16 +183,15 @@ def _cut(theta: np.ndarray, values: np.ndarray, windows: list):
 def default_centers(signal: Signal, phase: PhaseFunction, mu: float = 3.0) -> np.ndarray:
     """Center indices giving about eight shape estimates per period of travel.
 
-    Only centers whose full +-floor(mu)-period window fits inside the record
+    Only centers whose window counts floor(mu) whole periods on both sides
     are returned.
     """
     samples_per_period = signal.n_samples / phase.l_theta
     stride = max(1, int(round(samples_per_period / 8.0)))
-    margin = 2.0 * np.pi * _half_periods(mu)
-    theta = phase.phases
-    ok = (theta - theta[0] >= margin) & (theta[-1] - theta >= margin)
+    half = _half_periods(mu)
     candidates = np.arange(0, signal.n_samples, stride)
-    return candidates[ok[candidates]]
+    left, right = _periods_per_side(phase.phases, phase.phases[candidates], half)
+    return candidates[(left == half) & (right == half)]
 
 
 def extract_shape_track(signal: Signal, phase: PhaseFunction, centers=None, mu: float = 3.0,

@@ -43,6 +43,13 @@ class PhaseEstimateConfig:
             raise InvalidArgument(f"smoothing_cutoff must be in (0, 0.5], got {self.smoothing_cutoff}")
 
 
+def _isolation_band(center, size: int):
+    """Inclusive bounds of the bins 1..size-1 within ``BANDWIDTH * center`` of each bin ``center``."""
+    lo = np.maximum(1, np.ceil(center * (1.0 - BANDWIDTH)).astype(int))
+    hi = np.minimum(size - 1, np.floor(center * (1.0 + BANDWIDTH)).astype(int))
+    return lo, hi
+
+
 def _dominant_peak(magnitude: np.ndarray) -> int:
     """Index of the dominant local maximum of the one-sided spectrum.
 
@@ -63,22 +70,18 @@ def _dominant_peak(magnitude: np.ndarray) -> int:
         return int(np.argmax(mag))
     best = int(peaks[np.argmax(mag[peaks])])
 
-    def band(center):
-        lo = np.maximum(1, np.ceil(center * (1.0 - BANDWIDTH)).astype(int))
-        hi = np.minimum(len(mag) - 1, np.floor(center * (1.0 + BANDWIDTH)).astype(int))
-        return lo, hi
-
     def band_power(center: int) -> float:
-        lo, hi = band(center)
+        lo, hi = _isolation_band(center, len(mag))
         return float(np.mean(mag[lo : hi + 1] ** 2))
 
-    rivals = peaks[np.abs(peaks - best) > BANDWIDTH * best]
+    lo, hi = _isolation_band(best, len(mag))
+    rivals = peaks[(peaks < lo) | (peaks > hi)]
     if len(rivals):
         # every rival's band power from one prefix sum; the exact mean is
         # taken only for the rivals within the prefix sum's rounding bound
         # of the strongest, so the choice is that of the exact means
         energy = np.concatenate(([0.0], np.cumsum(mag**2)))
-        lo, hi = band(rivals)
+        lo, hi = _isolation_band(rivals, len(mag))
         count = hi + 1 - lo
         approx = (energy[hi + 1] - energy[lo]) / count
         slack = 4 * len(mag) * np.finfo(float).eps * energy[-1] / count
@@ -118,6 +121,9 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
     values = signal.values
     if not np.any(values):
         raise DegenerateInput("signal is identically zero; it has no phase to estimate")
+    # the phase does not depend on the amplitude: scaled exactly, by a power of
+    # two, to a peak in [0.5, 1), the spectrum and its squares stay in range
+    values = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
     n = len(values)
     steps = np.diff(times)
     uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
@@ -139,16 +145,15 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
         fundamental = _dominant_peak(magnitude)
 
     def unwrap_band(center: int) -> np.ndarray:
-        half_width = BANDWIDTH * center
-        lo = max(1, int(np.ceil(center - half_width)))
-        hi = min(len(magnitude) - 1, int(np.floor(center + half_width)))
+        lo, hi = _isolation_band(center, len(magnitude))
         one_sided = np.zeros(n, dtype=complex)
         one_sided[lo : hi + 1] = half_spectrum[lo : hi + 1]
         analytic = np.fft.ifft(2.0 * one_sided)
         return np.unwrap(np.angle(analytic))
 
     # the strongest sideband may sit off the true fundamental; re-center the
-    # isolation band once on the cycle count the unwrapped angle reports
+    # isolation band on the cycle count the unwrapped angle reports, at most
+    # twice, stopping once the count agrees with the band's center
     raw = unwrap_band(fundamental)
     for _ in range(2):
         cycles = int(round((raw[-1] - raw[0]) / (2.0 * np.pi)))

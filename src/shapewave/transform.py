@@ -299,16 +299,18 @@ def band_indices(k: int, l_theta: int, n: int) -> tuple[int, int]:
 
 
 def _band_samples(spectrum: np.ndarray, l_theta: int, ks, size: int, trim_unpaired: bool) -> np.ndarray:
-    """Bands ``ks`` of a :func:`forward_spectrum` at baseband, one row per band, sampled at phi = j/size.
+    """Bands ``ks`` of a spectrum at baseband, one row per band, sampled at phi = j/size.
 
-    ``ks`` is one band or a run of consecutive bands; the end farthest from
-    0 is checked against Nyquist before any row is allocated.  ``size`` is
-    n, or l_theta once trimmed.  For even ``l_theta`` a band's lowest bin has
-    no conjugate partner inside the band; ``trim_unpaired`` drops it, since
-    the model's envelope spectrum vanishes there.  Every band has the same
-    bin offsets relative to ``k*l_theta``, so all of them are gathered with
-    one index and transformed with one inverse FFT.  A stacked ``spectrum``
-    gives one such block of rows per record.
+    The spectrum is in NumPy's FFT order (``np.fft.fft``, unshifted), so a
+    bin is read at its signed frequency.  ``ks`` is one band or a run of
+    consecutive bands; the end farthest from 0 is checked against Nyquist
+    before any row is allocated, which keeps every frequency in -n/2..n/2-1.
+    ``size`` is n, or l_theta once trimmed.  For even ``l_theta`` a band's
+    lowest bin has no conjugate partner inside the band; ``trim_unpaired``
+    drops it, since the model's envelope spectrum vanishes there.  Every band
+    has the same bin offsets relative to ``k*l_theta``, so all of them are
+    gathered with one index and transformed with one inverse FFT.  A stacked
+    ``spectrum`` gives one such block of rows per record.
     """
     n = spectrum.shape[-1]
     k_far = max(ks[0], ks[-1], key=abs)
@@ -318,7 +320,7 @@ def _band_samples(spectrum: np.ndarray, l_theta: int, ks, size: int, trim_unpair
     if trim_unpaired and l_theta % 2 == 0:
         offsets = offsets[1:]
     buf = np.zeros(spectrum.shape[:-1] + (len(ks), size), dtype=complex)
-    buf[..., offsets % size] = spectrum[..., ks[:, None] * l_theta + offsets + n // 2]
+    buf[..., offsets % size] = spectrum[..., ks[:, None] * l_theta + offsets]
     return np.fft.ifft(buf, axis=-1) * (size / n)
 
 
@@ -330,7 +332,8 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int) -> DemodulatedBand:
     ``g_k`` approximates the envelope times the k-th shape coefficient.
     The bands keep every bin, so they tile the frequency axis exactly.
     """
-    return DemodulatedBand(k=k, values=_band_samples(pds.spectrum, pds.l_theta, [k], pds.grid.n, False)[0])
+    bands = _band_samples(np.fft.ifftshift(pds.spectrum), pds.l_theta, [k], pds.grid.n, False)
+    return DemodulatedBand(k=k, values=bands[0])
 
 
 def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:

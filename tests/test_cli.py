@@ -239,6 +239,23 @@ def test_phase_times_must_be_signal_times(ex1_files, capsys, tmp_path, command, 
     assert f"error: ParseError: time at line {line} is not the signal's within" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message", [("value", "non-numeric value at line 8"),
+                                           ("time", "time at line 8 is not the signal's within")],
+                         ids=["value", "time"])
+def test_phase_file_lines_count_quoted_newlines(ex1_files, capsys, tmp_path, case, message):
+    # the first record's quoted time spans lines 2 and 3, so record 7 is on line 8
+    signal_path, phase_path, _ = ex1_files
+    rows = phase_path.read_text().splitlines()
+    assert rows[1].startswith("0,")
+    rows[1] = '"0\n"' + rows[1][1:]
+    t, theta = rows[6].split(",")
+    rows[6] = f"{t},x" if case == "value" else f"{float(t) + 0.5},{theta}"
+    quoted = tmp_path / "quoted.phase.csv"
+    quoted.write_text("\n".join(rows) + "\n")
+    assert run(["extract", signal_path, "--phase", quoted]) == 1
+    assert f"error: ParseError: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["extract", "extract-local"])
 @pytest.mark.parametrize("lam", [0.9, 0.0])
 def test_lambda_out_of_range_usage_error(ex1_files, capsys, command, lam):

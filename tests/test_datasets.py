@@ -133,6 +133,14 @@ class TestCsv:
             sw.load_signal_csv(path)
         assert info.value.line == 17
 
+    def test_parse_error_line_counts_quoted_newlines(self, tmp_path):
+        # the quoted field spans lines 2 and 3, so the bad value is on line 4
+        path = tmp_path / "quoted.csv"
+        path.write_text('t,f\n"0\n",1\n0.1,x\n')
+        with pytest.raises(sw.ParseError, match="non-numeric value at line 4") as info:
+            sw.load_signal_csv(path)
+        assert info.value.line == 4
+
     def test_decreasing_times_rejected(self, tmp_path):
         path = tmp_path / "dec.csv"
         times = np.linspace(0.0, 1.0, 20)

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shapewave as sw
 from shapewave.extract import BandMatrix, _band_matrix, coefficients_from_right_vector
@@ -39,7 +41,7 @@ def n_row_fit(signal, phase, band_limit, grid_size=None, zero_dc=False):
         spectrum = pds.spectrum.copy()
         spectrum[lo + n // 2 : hi + n // 2 + 1] = 0.0
         pds = dataclasses.replace(pds, spectrum=spectrum)
-    g = np.array([sw.transform._band_samples(pds.spectrum, phase.l_theta, [k], n, True)[0]
+    g = np.array([sw.transform._band_samples(np.fft.ifftshift(pds.spectrum), phase.l_theta, [k], n, True)[0]
                   for k in range(band_limit + 1)])
     fit = sw.rank_one_fit(BandMatrix(entries=np.column_stack((g.real.T, g[1:].imag.T))))
     c_raw = coefficients_from_right_vector(fit.right)
@@ -120,6 +122,14 @@ class TestRankOneFit:
     def test_zero_matrix(self):
         with pytest.raises(sw.DegenerateInput):
             sw.rank_one_fit(BandMatrix(entries=np.zeros((4, 3))))
+
+    def test_tiny_matrix_is_not_zero(self):
+        # every squared entry underflows to 0, but sigma1 does not
+        fit = sw.rank_one_fit(BandMatrix(entries=np.full((6, 5), 1e-170)))
+        assert fit.sigma1 > 0.0
+        np.testing.assert_allclose(fit.sigma1, np.sqrt(30.0) * 1e-170, rtol=1e-14)
+        with pytest.raises(sw.DegenerateInput, match="identically zero"):
+            sw.rank_one_fit(BandMatrix(entries=np.stack((np.full((6, 5), 1e-170), np.zeros((6, 5))))))
 
     def test_matches_als_oracle(self):
         rng = np.random.default_rng(99)
@@ -265,6 +275,50 @@ class TestExtractShape:
         signal, _, _, phase = example1
         model = example1_result.envelope.values_time * example1_result.shape(phase.phases)
         np.testing.assert_allclose(signal.values - model, example1_result.residual, atol=1e-12)
+
+
+class TestPowerOfTwoScale:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(n_samples=st.integers(512, 2048), periods=st.integers(5, 30), uniform=st.booleans(),
+           seed=st.integers(0, 2**16), k_phase=st.integers(-600, 600), k_fit=st.integers(-1000, 500))
+    def test_record_scaled_by_power_of_two(self, n_samples, periods, uniform, seed, k_phase, k_fit):
+        rng = np.random.default_rng(seed)
+        if uniform:
+            t = np.linspace(0.0, 1.0, n_samples)
+        else:
+            t = np.sort(rng.uniform(0.0, 1.0, n_samples))
+            t[0], t[-1] = 0.0, 1.0
+        theta = 2.0 * np.pi * periods * t + 2.0 * np.cos(6.0 * np.pi * t) * periods / 40
+        values = (1.0 / (1.1 + np.cos(theta + np.cos(2.0 * theta))) / (2.0 + np.sin(2.0 * np.pi * t))
+                  + 0.1 * rng.standard_normal(n_samples))
+        signal = sw.validate_signal(t, values)
+
+        def phase_or_error(sig):
+            try:
+                return sw.estimate_phase(sig).phases
+            except sw.ShapewaveError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        # the phase estimate is amplitude-free: bitwise, whatever the power of two
+        expected = phase_or_error(signal)
+        got = phase_or_error(sw.validate_signal(t, np.ldexp(values, k_phase)))
+        assert type(got) is type(expected)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+        # the fit scales linearly, up to the SVD's own rescaling of a matrix
+        # near the ends of the float range
+        phase = sw.exact_phase_from_samples(signal, theta)
+        want = sw.extract_shape(signal, phase)
+        have = sw.extract_shape(sw.validate_signal(t, np.ldexp(values, k_fit)), phase)
+        assert np.max(np.abs(have.shape.coeffs - want.shape.coeffs)) <= 1e-15
+        assert abs(have.fit.rank1_energy_fraction - want.fit.rank1_energy_fraction) <= 2e-15
+        envelope = want.envelope.values_time
+        assert (np.max(np.abs(np.ldexp(have.envelope.values_time, -k_fit) - envelope))
+                <= 2e-14 * np.max(np.abs(envelope)))
+        assert np.max(np.abs(np.ldexp(have.residual, -k_fit) - want.residual)) <= 1e-13 * np.max(np.abs(values))
 
 
 class TestShapeDistance:

@@ -524,6 +524,33 @@ class TestExtractShapeTrack:
         expected = signal.n_samples / phase.l_theta / 8.0
         assert np.all(np.abs(stride - expected) <= 1.0)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(record=st.sampled_from(["example1", "aligned", "non-uniform", "drawn"]),
+           periods=st.integers(5, 40), samples_per_period=st.integers(40, 100), offset=st.floats(-50.0, 50.0),
+           mu=st.floats(1.0, 8.0, exclude_max=True))
+    def test_default_centers_are_the_full_windows(self, record, periods, samples_per_period, offset, mu):
+        # the stride candidates whose windows count floor(mu) whole periods on both sides
+        if record == "drawn":
+            t = np.linspace(0.0, 1.0, periods * samples_per_period)
+            theta = offset + 2.0 * np.pi * periods * t + 2.0 * np.cos(6.0 * np.pi * t) * periods / 40
+            signal = sw.validate_signal(t, np.cos(theta))
+            phase = sw.exact_phase_from_samples(signal, theta)
+        else:
+            signal, phase = cutter_record(record)
+        half = int(mu)
+        stride = max(1, round(signal.n_samples / phase.l_theta / 8.0))
+        candidates = list(range(0, signal.n_samples, stride))
+        full = []
+        for center, window in zip(candidates, _windows(phase.phases, candidates, half), strict=True):
+            if not isinstance(window, Exception):
+                if window[4] == window[5] == half:
+                    full.append(center)
+            elif half == 1 and isinstance(window, sw.TooFewPeriods):
+                # two whole periods are too few for a fit, but the window is full
+                full.append(center)
+            # the records are dense enough that any other failure is a window short of periods
+        assert sw.localized.default_centers(signal, phase, mu).tolist() == full
+
     def test_envelope_debiasing_tracks_true_envelope(self, example1):
         signal, _, _, phase = example1
         a_true = 1.0 / (2.0 + np.sin(2.0 * np.pi * signal.times))
