@@ -34,11 +34,17 @@ from .transform import (
     _interp_stack,
     _resample_stack,
     _top_band,
+    _trig_stack,
     default_grid_size,
 )
 
 #: Cap on the automatically chosen number of harmonic bands.
 MAX_DEFAULT_BANDS = 20
+
+#: Most harmonics of an envelope summed directly at the records' phases; one with more is
+#: back-interpolated from its phase grid, which costs less there (16 harmonics on 65 536
+#: samples take about as long either way).
+_DIRECT_HARMONICS = 16
 
 
 @dataclass(frozen=True)
@@ -139,23 +145,33 @@ def _check_band_limit(k_max) -> None:
         raise InvalidArgument(f"band limit must be at least 1 and an integer, got {k_max!r}")
 
 
-def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False):
+def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False, grid: bool = False):
     """Fit records that share l_theta m, grid n and band count K as one stack.
 
     ``phases`` holds each record's phase samples and ``values`` the records'
     values back to back.  One stacked resample, one row-wise FFT and one
     band cut give their W x (K+1) x m band blocks, scaled by ``sqrt(n/m)``
     so that the column inner products (hence sigma, the right vector and
-    the objective) are those of the n-sample bands.  One stacked SVD, one stacked normalization and one
-    stacked back-interpolation follow; every record's outputs equal those of
-    a stack holding it alone.
+    the objective) are those of the n-sample bands.  One stacked SVD and one
+    stacked normalization follow.
+
+    Each envelope is a real trigonometric polynomial whose half spectrum X
+    is the ``(m+1)//2`` kept bins of ``sqrt(n/m) * rfft(left)``; on the
+    phase grid it is their zero-padded n-point ``irfft``.  Its values at the
+    records' own phases come by one of two routes, chosen by its harmonic
+    count alone (see ``_DIRECT_HARMONICS``): summed directly, or
+    back-interpolated by a natural spline through the phase-grid envelope,
+    closed periodically.  Either way every record's outputs equal those of
+    a stack holding it alone.  ``grid`` asks for the phase-grid envelopes,
+    which the spline route computes in any case.
 
     Returns
     -------
-    (Rank1Fit, ndarray, ndarray, ndarray)
+    (Rank1Fit, ndarray, ndarray or None, ndarray)
         The stacked fit, the normalized coefficients (W x (K+1)), the
-        phase-grid envelopes (W x n) and the records' envelopes on their own
-        time grids, back to back.
+        phase-grid envelopes (W x n; None where the direct route runs and
+        ``grid`` is false) and the records' envelopes on their own time
+        grids, back to back.
     """
     blocks = _band_samples(np.fft.fft(_resample_stack(phases, values, m, n)), m, range(k_max + 1), m, True)
     blocks *= np.sqrt(n / m)
@@ -167,14 +183,27 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
     origins = np.array([p[0] for p in phases])
     c_raw = coefficients_from_right_vector(fit.right)
     c_raw *= np.exp(-1j * np.arange(k_max + 1) * origins[:, None])
-    # zero-pad the envelopes to n points; the trim leaves an even m's bin m/2 empty
-    values_phase, coeffs = normalize_rank1_factors(
-        np.fft.irfft(np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2], n), c_raw, fit.sigma1)
-    # the back-interpolation's periodically closed grid holds the envelopes, so that no
-    # second copy of them shares memory with its spline
-    closed = np.concatenate((values_phase, values_phase[:, :1]), axis=1)
-    values_phase = closed[:, :-1]
-    values_time = _interp_stack(closed, phases)
+    # the trim leaves an even m's bin m/2 empty
+    bins = np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2]
+    # the normalization takes the envelope's sign from its mean, Re X_0 / n, and scales the
+    # envelope it is given; given a stand-in of that sign and size 1, it returns the stand-in
+    # times the scale, exactly
+    sign = np.where(bins[:, 0].real >= 0.0, 1.0, -1.0)
+    unit, coeffs = normalize_rank1_factors(sign[:, None], c_raw, fit.sigma1)
+    scale = unit[:, 0] * sign
+    direct = (m + 1) // 2 - 1 <= _DIRECT_HARMONICS
+    values_phase = None
+    if grid or not direct:
+        # the back-interpolation's periodically closed grid holds the envelopes, so that no
+        # second copy of them shares memory with its spline
+        closed = np.empty((len(phases), n + 1))
+        values_phase = np.multiply(scale[:, None], np.fft.irfft(bins, n), out=closed[:, :-1])
+        closed[:, -1] = closed[:, 0]
+    if direct:
+        bins *= (scale / n)[:, None]
+        values_time = _trig_stack(bins, phases)
+    else:
+        values_time = _interp_stack(closed, phases)
     return fit, coeffs, values_phase, values_time
 
 
@@ -210,7 +239,7 @@ def extract_shape(
     """
     n, k_max = _grid_and_bands(signal.n_samples, phase.l_theta, grid_size, band_limit)
     fit, coeffs, values_phase, values_time = _fit_stack(
-        [phase.phases], signal.values, phase.l_theta, n, k_max, zero_dc)
+        [phase.phases], signal.values, phase.l_theta, n, k_max, zero_dc, grid=True)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 

@@ -7,7 +7,9 @@ the record boundaries) and is tapered by a raised cosine that falls to zero
 exactly at the segment edges.  Each tapered segment then goes through the
 whole-signal extraction with its own period count, producing one shape
 function per center; segments with equal period count, grid and band limit
-share one stacked resample, rank-1 fit and back-interpolation.
+share one stacked resample, rank-1 fit and envelope evaluation; a default
+segment's envelope is a trigonometric polynomial of two harmonics, summed
+directly at the segment's samples.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .extract import _check_band_limit, _fit_stack, _grid_and_bands, _padded, _p
 TAPER_RELIABLE = 0.1
 
 #: Most windows cut and fitted as one stack.  Every window of a stack holds a
-#: few length-n spline buffers at once, so this bounds the working set: on a
-#: default example1 track, 8 raise the peak RSS over per-window splines by
-#: about 0.3 MB, 10 by about 0.9 MB and 16 by about 3 MB.
+#: few length-n resample buffers at once, so this bounds the working set: on a
+#: default example1 track, 8 raise the peak RSS over one window per stack by
+#: about 0.5 MB, 10 by about 0.9 MB and 16 by about 1.4 MB, and neither 10
+#: nor 16 is faster than 8.
 WINDOW_CHUNK = 8
 
 #: Tolerance of a window's whole-period counts (in periods) and bounds (in radians).
@@ -275,9 +278,9 @@ def _fit_windows(signal: Signal, phase: PhaseFunction, members, m: int, n: int, 
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]
         return [out for member in members for out in _fit_windows(signal, phase, [member], m, n, k_max)]
-    # the de-biased envelopes overwrite the stack's back-interpolated values, allocated after its splines:
-    # a second array (or one per window) let malloc hand the splines' freed buffers back to the system
-    # after every stack, and a default track took up to twice the page faults
+    # the de-biased envelopes overwrite the stack's envelope values: a second array (or one per window)
+    # lets malloc hand the stack's freed buffers back to the system after every stack, and a default
+    # track takes about two thirds more page faults
     reliable = chi > TAPER_RELIABLE
     envelopes = np.divide(values_time, chi, out=values_time, where=reliable)
     envelopes[~reliable] = np.nan

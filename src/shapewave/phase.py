@@ -124,6 +124,9 @@ def estimate_phase(signal: Signal, config: PhaseEstimateConfig | None = None) ->
     # the phase does not depend on the amplitude: scaled exactly, by a power of
     # two, to a peak in [0.5, 1), the spectrum and its squares stay in range
     values = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
+    # nor on the time unit: with the span scaled the same way into [0.5, 1), the
+    # splines' cubic terms neither overflow nor underflow (halved, the span is finite)
+    times = np.ldexp(times, -np.frexp(times[-1] / 2 - times[0] / 2)[1] - 1)
     n = len(values)
     steps = np.diff(times)
     uniform = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)

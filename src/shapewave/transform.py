@@ -209,6 +209,11 @@ def _joined(parts) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _normalized(phases) -> np.ndarray:
+    """Each record's normalized phase ``(theta - theta[0]) / (theta[-1] - theta[0])``, back to back."""
+    return _joined([(p - p[0]) / (p[-1] - p[0]) for p in phases])
+
+
 def default_grid_size(n_samples: int, l_theta: int) -> int:
     """Smallest power of two >= max(n_samples, 8 * l_theta)."""
     return 1 << int(max(n_samples, 8 * l_theta) - 1).bit_length()
@@ -248,7 +253,7 @@ def _resample_stack(phases, values, l_theta: int, n: int) -> np.ndarray:
     _check_power_of_two(n, "grid size")
     if n < 4 * l_theta:
         raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * l_theta}")
-    x = _joined([(p - p[0]) / (p[-1] - p[0]) for p in phases])
+    x = _normalized(phases)
     index = np.empty((len(phases), n), dtype=np.intp)
     lo = 0
     for row, p in zip(index, phases):
@@ -362,7 +367,36 @@ def _interp_stack(closed: np.ndarray, phases) -> np.ndarray:
     """
     n = closed.shape[-1] - 1
     nodes = np.arange(n + 1) / n
-    phi = _joined([(p - p[0]) / (p[-1] - p[0]) for p in phases])
+    phi = _normalized(phases)
     i = (phi * n).clip(0, n - 1).astype(np.intp)
     i += np.repeat(np.arange(len(phases)) * (n + 1), [len(p) for p in phases])
     return _spline(_joined([nodes] * len(phases)), closed.ravel(), phi, i)
+
+
+def _trig_stack(bins: np.ndarray, phases) -> np.ndarray:
+    """Real trigonometric polynomials from half spectra, each at its own record's phase samples, back to back.
+
+    Row r of ``bins`` holds ``b_0..b_H`` of record r, whose value at its
+    normalized phase phi is ``Re b_0 + 2 Re sum_{k>=1} b_k z**k`` with
+    ``z = cos 2*pi*phi + i sin 2*pi*phi``.  The sum, with ``b_0`` halved,
+    runs by Horner's rule over all records' samples at once, each sample
+    taking its own record's bins, so every record's values are those of a
+    stack holding it alone.
+    """
+    angle = _normalized(phases)
+    angle *= 2.0 * np.pi
+    z = np.empty(len(angle), dtype=complex)
+    np.cos(angle, out=z.real)
+    np.sin(angle, out=z.imag)
+    # the phases are spent before the sums take their buffers, and the values come last, in
+    # a new array: reusing the phases' buffer for them took a default track about 1.7 times
+    # the page faults
+    del angle
+    row = np.repeat(np.arange(len(phases)), [len(p) for p in phases])
+    bins = bins.copy()
+    bins[:, 0] *= 0.5
+    acc = bins[:, -1].take(row)
+    for k in range(bins.shape[-1] - 2, -1, -1):
+        acc *= z
+        acc += bins[:, k].take(row)
+    return np.multiply(acc.real, 2.0)

@@ -308,6 +308,16 @@ def test_fundamental_hint_with_exact_phase_is_usage_error(ex1_files, capsys, com
     assert "--fundamental-hint applies only with --estimate-phase" in capsys.readouterr().err
 
 
+def test_extreme_time_span_estimated_phase(tmp_path, capsys):
+    # non-uniform times spanning 1e110 once ended in a traceback from estimate_phase
+    t = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 2000))
+    theta = 2.0 * np.pi * 20 * (t - t[0]) / (t[-1] - t[0])
+    path = tmp_path / "big.csv"
+    sw.datasets.write_signal_csv(path, sw.validate_signal(t * 1e110, np.cos(theta) + 0.3 * np.cos(2.0 * theta)))
+    assert run(["extract", path, "--estimate-phase"]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_memory_error_is_one_error_line(ex1_files, capsys, monkeypatch):
     # a size within every rule can still be more than the machine holds
     def fail(*args, **kwargs):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapewave as sw
+import shapewave.extract
 from shapewave.extract import BandMatrix, _band_matrix, coefficients_from_right_vector
 
 from conftest import TAU_GRID, make_tone, spectrum_frequencies
@@ -275,6 +276,52 @@ class TestExtractShape:
         signal, _, _, phase = example1
         model = example1_result.envelope.values_time * example1_result.shape(phase.phases)
         np.testing.assert_allclose(signal.values - model, example1_result.residual, atol=1e-12)
+
+
+def periodic_record(n_samples, periods):
+    """Noisy record with a wobbling phase, a non-sinusoidal shape and a slow envelope."""
+    t = np.linspace(0.0, 1.0, n_samples)
+    theta = 2.0 * np.pi * periods * t + 0.5 * np.cos(2.0 * np.pi * t)
+    noise = 0.05 * np.random.default_rng(periods).standard_normal(n_samples)
+    values = (1.5 + np.sin(2.0 * np.pi * t)) * np.cos(theta + 0.4 * np.sin(theta)) + noise
+    signal = sw.validate_signal(t, values)
+    return signal, sw.exact_phase_from_samples(signal, theta)
+
+
+class TestEnvelopeRoute:
+    """The envelope reaches the time grid by its direct sum up to 16 harmonics, by the spline past that."""
+
+    @staticmethod
+    def routes(monkeypatch, call):
+        taken = []
+        for name in ("_trig_stack", "_interp_stack"):
+            route = getattr(shapewave.extract, name)
+            monkeypatch.setattr(shapewave.extract, name,
+                                lambda *args, name=name, route=route: taken.append(name) or route(*args))
+        return call(), taken
+
+    def test_track_window_and_example1_are_summed(self, example1, monkeypatch):
+        signal, _, _, phase = example1
+        segment, window_phase, _ = sw.window_segment(signal, phase, 2048, mu=3)
+        for sig, ph, harmonics in ((segment, window_phase, 2), (signal, phase, 9)):
+            assert (ph.l_theta + 1) // 2 - 1 == harmonics
+            _, taken = self.routes(monkeypatch, lambda: sw.extract_shape(sig, ph))
+            assert taken == ["_trig_stack"]
+        _, taken = self.routes(monkeypatch, lambda: sw.extract_shape_track(signal, phase, centers=[2048, 2100]))
+        assert taken == ["_trig_stack"]
+
+    @pytest.mark.parametrize("n_samples, periods, route", [
+        (8192, 34, "_trig_stack"), (8192, 35, "_interp_stack"), (8192, 90, "_interp_stack"),
+        (8192, 327, "_interp_stack")])
+    def test_harmonic_count_picks_the_route(self, monkeypatch, n_samples, periods, route):
+        # 16 and 17 harmonics on either side of the rule; 44 as in the Duffing record, 163 as in record-long
+        signal, phase = periodic_record(n_samples, periods)
+        result, taken = self.routes(monkeypatch, lambda: sw.extract_shape(signal, phase))
+        assert taken == [route]
+        if route == "_interp_stack":
+            # the spline route is the back-interpolation of the phase-grid envelope, bit for bit
+            assert np.array_equal(result.envelope.values_time,
+                                  sw.interp_phase_to_time(result.envelope.values_phase, phase))
 
 
 class TestPowerOfTwoScale:

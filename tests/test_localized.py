@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shapewave as sw
+import shapewave.extract
 from shapewave.localized import TAPER_RELIABLE, WINDOW_CHUNK, _cut, _drift, _windows
 
 from conftest import TAU_GRID
@@ -339,6 +340,46 @@ def assert_track_matches_per_window(signal, phase, track, mu, band_limit=None):
             np.testing.assert_array_equal(track.envelopes[i], env)
         else:
             assert track.shapes[i] is None and track.envelopes[i] is None
+
+
+class TestSummedEnvelopes:
+    """Track envelopes summed directly, against the spline route that longer windows take."""
+
+    @pytest.mark.parametrize("kwargs, tol", [
+        (dict(mu=3), 2e-12),
+        (dict(mu=3, centers=[150, 300, 500, 700, 1500, 2048, 3600, 3800]), 5e-11),
+        (dict(mu=2), 5e-11)])
+    def test_within_the_spline_interpolation_error(self, example1, monkeypatch, kwargs, tol):
+        # stated tolerance of a de-tapered envelope, relative to its window's peak: 2e-12 on
+        # windows of 6 periods (grid 2 048), 5e-11 on windows of 4 and 5 (grid 1 024); measured
+        # at 1.6e-12 and 3.8e-11.  The summed values are exact, so the gap is the spline's.
+        signal, phase = noisy_example1(example1)
+        track = sw.extract_shape_track(signal, phase, **kwargs)
+        monkeypatch.setattr(shapewave.extract, "_DIRECT_HARMONICS", -1)
+        spline = sw.extract_shape_track(signal, phase, **kwargs)
+        assert track.errors == spline.errors
+        np.testing.assert_array_equal(track.drift, spline.drift)
+        fitted = [i for i, error in enumerate(track.errors) if error is None]
+        assert fitted
+        for i in fitted:
+            np.testing.assert_array_equal(track.shapes[i].coeffs, spline.shapes[i].coeffs)
+            got, want = track.envelopes[i], spline.envelopes[i]
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            ok = ~np.isnan(want)
+            assert np.max(np.abs(got[ok] - want[ok])) <= tol * np.max(np.abs(want[ok]))
+
+    def test_long_windows_take_the_spline_per_window(self):
+        # windows of 36-40 periods have 17-19 harmonics, past the direct rule
+        t = np.linspace(0.0, 1.0, 8192)
+        theta = 2.0 * np.pi * 90 * t + 0.5 * np.cos(2.0 * np.pi * t)
+        values = np.cos(theta + 0.4 * np.sin(theta)) + 0.05 * np.random.default_rng(3).standard_normal(len(t))
+        signal = sw.validate_signal(t, values)
+        phase = sw.exact_phase_from_samples(signal, theta)
+        centers = [1700, 2600, 4096, 4200, 4300, 5500, 6400]
+        assert all((sw.window_segment(signal, phase, c, mu=20)[1].l_theta + 1) // 2 - 1 > 16 for c in centers)
+        track = sw.extract_shape_track(signal, phase, centers=centers, mu=20)
+        assert all(error is None for error in track.errors)
+        assert_track_matches_per_window(signal, phase, track, mu=20)
 
 
 class TestBatchedTrack:

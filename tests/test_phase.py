@@ -143,6 +143,22 @@ class TestEstimatePhase:
         )
         assert best >= 0.95
 
+    @pytest.mark.parametrize("scale, centered", [(1e110, False), (1e-110, False), (1e200, False), (1e308, True)])
+    def test_extreme_time_span(self, scale, centered):
+        # non-uniform times spanning far from 1, the last past the float range: the
+        # splines' cubic terms, or the span itself, over- or underflowed
+        t = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, 2000))
+        theta = 2.0 * np.pi * 20 * (t - t[0]) / (t[-1] - t[0])
+        values = np.cos(theta) + 0.3 * np.cos(2.0 * theta)
+        times = 2.0 * t - 1.0 if centered else t
+        want = sw.estimate_phase(sw.validate_signal(times, values))
+        have = sw.estimate_phase(sw.validate_signal(times * scale, values))
+        assert have.l_theta == want.l_theta == 20
+        np.testing.assert_allclose(have.phases, want.phases, rtol=0.0, atol=1e-11)
+        # a power of two scales the time axis exactly, and the phase not at all
+        exact = sw.estimate_phase(sw.validate_signal(np.ldexp(times, round(np.log2(scale))), values))
+        assert np.array_equal(exact.phases, want.phases)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sw.PhaseEstimateConfig(smoothing_cutoff=0.9)
