@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -93,6 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     loc.add_argument("--out", default=None, help="track CSV path (default: <input>.track.csv)")
     loc.set_defaults(func=cmd_extract_local)
     return parser
+
+
+#: The parser of every ``main`` call in this process; ``parse_args`` leaves it unchanged.
+_parser = functools.cache(build_parser)
 
 
 def _require_file(parser, path):
@@ -242,7 +247,7 @@ def cmd_extract_local(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         try:

@@ -74,14 +74,21 @@ class DuffingParams:
     def __post_init__(self):
         if not 0.0 < self.dt < math.inf:
             raise InvalidArgument(f"dt must be positive, got {self.dt}")
-        if not 1000 <= self.t_span / self.dt < math.inf:
+        steps = self.t_span / self.dt
+        if not 1000 <= steps:
             raise InvalidArgument("t_span/dt must be at least 1000")
+        if not steps <= MAX_COUNT:
+            raise InvalidArgument(f"t_span/dt must be at most {MAX_COUNT}, got {steps:.4g}")
         if not 0.0 < self.omega_exponent < math.inf:
             raise InvalidArgument(f"omega_exponent must be positive, got {self.omega_exponent}")
 
 
 def integrate_duffing(params: DuffingParams):
     """Integrate the oscillator with classical fixed-step 4th-order Runge-Kutta.
+
+    An odd integer power ``1 + omega_exponent`` (the default cubic among
+    them) runs a loop body without the sign restore; its trajectory is
+    bitwise that of the general body.
 
     Returns
     -------
@@ -101,10 +108,13 @@ def integrate_duffing(params: DuffingParams):
 
     # Python floats, ``math`` and the acceleration
     # ``gamma*cos(beta*t) - u - eps*sign(u)*|u|**pw`` written out in each
-    # stage keep the per-step cost low.  A float power too large for a double
-    # raises OverflowError; as inf it would leave the state inf or NaN at the
-    # end of that step, so it is reported as a blow-up of that step.
-    cos, copysign, isfinite = math.cos, math.copysign, math.isfinite
+    # stage keep the per-step cost low.  For an odd integer ``pw``, ``x ** pw``
+    # is that power bitwise: CPython's float power raises ``|x|`` and negates
+    # the result itself when ``pw % 2.0 == 1.0``, so that body skips the
+    # ``copysign``.  A float power too large for a double raises
+    # OverflowError; as inf it would leave the state inf or NaN at the end of
+    # that step, so it is reported as a blow-up of that step.
+    cos, copysign, inf = math.cos, math.copysign, math.inf
     half = 0.5 * dt
     sixth = dt / 6.0
     u = np.empty(steps + 1)
@@ -112,25 +122,44 @@ def integrate_duffing(params: DuffingParams):
     u[0], v[0] = params.u0, params.v0
     uk, vk = float(params.u0), float(params.v0)
     try:
-        for k in range(steps):
-            t = k * dt
-            force_half = gamma * cos(beta * (t + half))
-            k1u = vk
-            k1v = gamma * cos(beta * t) - uk - eps * copysign(abs(uk) ** pw, uk)
-            k2u = vk + half * k1v
-            x = uk + half * k1u
-            k2v = force_half - x - eps * copysign(abs(x) ** pw, x)
-            k3u = vk + half * k2v
-            x = uk + half * k2u
-            k3v = force_half - x - eps * copysign(abs(x) ** pw, x)
-            k4u = vk + dt * k3v
-            x = uk + dt * k3u
-            k4v = gamma * cos(beta * (t + dt)) - x - eps * copysign(abs(x) ** pw, x)
-            uk = uk + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if not (isfinite(uk) and isfinite(vk)) or abs(uk) > BLOWUP_LIMIT:
-                raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
-            u[k + 1], v[k + 1] = uk, vk
+        if pw % 2.0 == 1.0:
+            for k in range(steps):
+                t = k * dt
+                force_half = gamma * cos(beta * (t + half))
+                k1v = gamma * cos(beta * t) - uk - eps * uk ** pw
+                k2u = vk + half * k1v
+                x = uk + half * vk
+                k2v = force_half - x - eps * x ** pw
+                k3u = vk + half * k2v
+                x = uk + half * k2u
+                k3v = force_half - x - eps * x ** pw
+                k4u = vk + dt * k3v
+                x = uk + dt * k3u
+                k4v = gamma * cos(beta * (t + dt)) - x - eps * x ** pw
+                uk = uk + sixth * (vk + 2.0 * k2u + 2.0 * k3u + k4u)
+                vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                if not (abs(uk) <= BLOWUP_LIMIT and abs(vk) < inf):
+                    raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
+                u[k + 1], v[k + 1] = uk, vk
+        else:
+            for k in range(steps):
+                t = k * dt
+                force_half = gamma * cos(beta * (t + half))
+                k1v = gamma * cos(beta * t) - uk - eps * copysign(abs(uk) ** pw, uk)
+                k2u = vk + half * k1v
+                x = uk + half * vk
+                k2v = force_half - x - eps * copysign(abs(x) ** pw, x)
+                k3u = vk + half * k2v
+                x = uk + half * k2u
+                k3v = force_half - x - eps * copysign(abs(x) ** pw, x)
+                k4u = vk + dt * k3v
+                x = uk + dt * k3u
+                k4v = gamma * cos(beta * (t + dt)) - x - eps * copysign(abs(x) ** pw, x)
+                uk = uk + sixth * (vk + 2.0 * k2u + 2.0 * k3u + k4u)
+                vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+                if not (abs(uk) <= BLOWUP_LIMIT and abs(vk) < inf):
+                    raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
+                u[k + 1], v[k + 1] = uk, vk
     except OverflowError:
         raise NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}") from None
     times = np.arange(steps + 1) * dt
@@ -212,10 +241,49 @@ def gen_morphing_shape(n_samples: int, shape_a, shape_b, l_theta: int) -> Signal
 # ---- CSV ------------------------------------------------------------------
 
 
+#: The bytes of a plain body's numbers; a plain body holds these, commas and LFs only.
+_NUMBER_BYTES = b"0123456789+-.eE"
+
+
 def _read_two_columns(path, expected_header):
-    """The two columns of a CSV file after its header record, and each data record's physical line."""
+    """The two columns of a CSV file after its header record, and each data record's physical line.
+
+    A plain file has exactly the header line, then lines of two numbers and
+    one comma, each ending in LF, with no field past
+    ``csv.field_size_limit()``: ``gen``'s and ``extract``'s files are plain.
+    Its body is split once and parsed by ``float``, and its records are lines
+    ``2..rows+1``.  Any other file, or a plain one with a value ``float``
+    rejects, goes through the row parser from the start, so the values,
+    lines and every ``ParseError`` are the row parser's.
+    """
     with open(path, "rb") as handle:
         raw = handle.read()
+    header = f"{expected_header[0]},{expected_header[1]}\n".encode()
+    if raw.startswith(header):
+        plain = _parse_plain(raw[len(header):])
+        if plain is not None:
+            return plain
+    return _parse_rows(raw, expected_header)
+
+
+def _parse_plain(body):
+    """The columns and lines of a plain body, or None when it is not one or ``float`` rejects a value."""
+    separators = body.translate(None, _NUMBER_BYTES)
+    rows = len(separators) // 2
+    if separators != b",\n" * rows or not body.endswith(b"\n"):
+        return None
+    fields = body[:-1].replace(b"\n", b",").split(b",")
+    if max(map(len, fields)) > csv.field_size_limit():
+        return None
+    try:
+        data = np.fromiter(map(float, fields), float, 2 * rows).reshape(rows, 2)
+    except ValueError:
+        return None
+    return data[:, 0], data[:, 1], list(range(2, rows + 2))
+
+
+def _parse_rows(raw, expected_header):
+    """The row parser: every record through ``csv.reader``, numbered by its physical line."""
     rows, lines = [], []
     try:
         reader = csv.reader(io.StringIO(raw.decode("utf-8"), newline=""))

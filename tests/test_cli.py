@@ -328,3 +328,12 @@ def test_memory_error_is_one_error_line(ex1_files, capsys, monkeypatch):
     assert run(["extract", signal_path, "--phase", phase_path, "--n", 2**40]) == 1
     err = capsys.readouterr().err
     assert err == "error: MemoryError: Unable to allocate 8.00 TiB for an array with shape (1099511627776,)\n"
+
+
+@pytest.mark.parametrize("option", [["--dt", 1e-300], ["--t-span", 1e300]])
+def test_step_count_past_max_count_is_usage_error(tmp_path, capsys, option):
+    # the trajectory's arrays once failed to allocate with a raw ValueError
+    assert run(["gen", "duffing", *option, "--out", tmp_path / "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "t_span/dt must be at most" in err and "usage:" in err and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()

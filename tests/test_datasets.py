@@ -4,10 +4,11 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shapewave as sw
+from shapewave.cli import main
 
 
 class TestGenExample1:
@@ -99,6 +100,72 @@ class TestGenDuffing:
             sw.DuffingParams(dt=-0.1)
         with pytest.raises(ValueError):
             sw.DuffingParams(t_span=1.0, dt=0.01)
+
+
+def _reference_rk4(params):
+    """The general RK4 loop, kept apart as the oracle of ``integrate_duffing``'s bodies."""
+    eps, gamma, beta, dt = params.epsilon, params.gamma, params.beta, params.dt
+    pw = 1.0 + params.omega_exponent
+    steps = int(round(params.t_span / dt))
+    cos, copysign, isfinite = math.cos, math.copysign, math.isfinite
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    u = np.empty(steps + 1)
+    v = np.empty(steps + 1)
+    u[0], v[0] = params.u0, params.v0
+    uk, vk = float(params.u0), float(params.v0)
+    try:
+        for k in range(steps):
+            t = k * dt
+            force_half = gamma * cos(beta * (t + half))
+            k1u = vk
+            k1v = gamma * cos(beta * t) - uk - eps * copysign(abs(uk) ** pw, uk)
+            k2u = vk + half * k1v
+            x = uk + half * k1u
+            k2v = force_half - x - eps * copysign(abs(x) ** pw, x)
+            k3u = vk + half * k2v
+            x = uk + half * k2u
+            k3v = force_half - x - eps * copysign(abs(x) ** pw, x)
+            k4u = vk + dt * k3v
+            x = uk + dt * k3u
+            k4v = gamma * cos(beta * (t + dt)) - x - eps * copysign(abs(x) ** pw, x)
+            uk = uk + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            vk = vk + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            if not (isfinite(uk) and isfinite(vk)) or abs(uk) > sw.datasets.BLOWUP_LIMIT:
+                raise sw.NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}")
+            u[k + 1], v[k + 1] = uk, vk
+    except OverflowError:
+        raise sw.NonFiniteState(f"trajectory blew up at t = {(k + 1) * dt:.4g}") from None
+    return np.arange(steps + 1) * dt, u, v
+
+
+def _trajectory_or_error(integrate, params):
+    try:
+        return integrate(params)
+    except sw.NonFiniteState as exc:
+        return str(exc)
+
+
+_STATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0), st.floats(-1e4, 1e4))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(exponent=st.sampled_from([2.0, 4.0, 6.0, 1.0, 3.0, 0.5, 1.7]),
+       epsilon=st.sampled_from([1.0, -1.0, 0.3, -0.3]), u0=_STATES, v0=_STATES,
+       t_span=st.sampled_from([10.0, 12.5]))
+@example(exponent=6.0, epsilon=-1.0, u0=1e20, v0=-0.0, t_span=10.0)  # the power overflows in the first step
+@example(exponent=1.7, epsilon=1.0, u0=-0.0, v0=1.0, t_span=10.0)
+@example(exponent=3.0, epsilon=1.0, u0=-0.0, v0=-0.0, t_span=10.0)
+def test_integrate_duffing_matches_reference_loop(exponent, epsilon, u0, v0, t_span):
+    # the odd-power body and the general one against the general loop: bitwise, sign bits and all
+    params = sw.DuffingParams(epsilon=epsilon, omega_exponent=exponent, u0=u0, v0=v0, t_span=t_span)
+    got = _trajectory_or_error(sw.integrate_duffing, params)
+    want = _trajectory_or_error(_reference_rk4, params)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 class TestGenMorphing:
@@ -232,3 +299,59 @@ class TestCsv:
         rows = "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(col_a.tolist(), col_b.tolist()))
         assert path.read_bytes() == ("t,r\n" + rows).encode("utf-8")
 
+
+#: Lines that are not plain, each for one rule of the one-pass parse or of the row parser.
+_ODD_LINES = [b'"0.5\n",1', b'"1",2', b"1_000,2", b" 1,2", b"1 ,2", b"1,2 ", b"inf,1", b"1,nan", b"-inf,-1",
+              b"1,\xc3\xa9"]
+#: Lines of the plain bytes only, which the one-pass parse must still leave to the row parser.
+_NUMBER_LIKE_LINES = [b"1", b"1,2,3", b"", b",1", b"1,", b",", b"1e,2", b"--1,2", b".,1", b"1,2e400-", b"1e400,-0",
+                      b"1" * 200_000 + b",1"]
+_PLAIN_FIELDS = st.floats(allow_nan=False, allow_infinity=False).map(lambda x: b"%.17g" % x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(header=st.sampled_from([b"t,f", b"t,f", b"t,f", b" t,f", b"t,theta"]),
+       rows=st.lists(st.tuples(_PLAIN_FIELDS, _PLAIN_FIELDS), min_size=1, max_size=6),
+       odd=st.none() | st.tuples(st.sampled_from(_ODD_LINES) | st.sampled_from(_NUMBER_LIKE_LINES), st.integers(0, 6)),
+       ending=st.sampled_from(["lf", "lf", "lf", "crlf", "last crlf"]),
+       final_newline=st.sampled_from([True, True, False]))
+@example(header=b"t,f", rows=[(b"0", b"1")], odd=(_NUMBER_LIKE_LINES[-1], 2), ending="lf", final_newline=True)
+@example(header=b"t,f", rows=[(b"0", b"1")], odd=(b"1", 2), ending="lf", final_newline=False)
+def test_one_pass_read_matches_row_parser(header, rows, odd, ending, final_newline):
+    lines = [header] + [a + b"," + b for a, b in rows]
+    if odd is not None:
+        lines.insert(odd[1] % (len(lines) + 1), odd[0])
+    raw = b"".join(line + (b"\r\n" if ending == "crlf" else b"\n") for line in lines)
+    if ending == "last crlf":
+        raw = raw[:-1] + b"\r\n"
+    if not final_newline:
+        raw = raw.rstrip(b"\r\n")
+
+    def outcome(read):
+        try:
+            times, values, numbers = read()
+        except sw.ParseError as exc:
+            return str(exc), exc.line
+        return times.tobytes(), values.tobytes(), numbers
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "mixed.csv")
+        with open(path, "wb") as handle:
+            handle.write(raw)
+        got = outcome(lambda: sw.datasets._read_two_columns(path, ("t", "f")))
+    assert got == outcome(lambda: sw.datasets._parse_rows(raw, ("t", "f")))
+
+
+def test_generated_file_takes_the_one_pass_parse(tmp_path, monkeypatch):
+    path = tmp_path / "duf.csv"
+    assert main(["gen", "duffing", "--sigma", "0.1", "--out", str(path)]) == 0
+
+    def row_parser(*args):
+        raise AssertionError("a plain file reached the row parser")
+
+    monkeypatch.setattr(sw.datasets, "_parse_rows", row_parser)
+    times, values, lines = sw.datasets._read_two_columns(path, ("t", "f"))
+    expected = sw.gen_duffing(noise=sw.NoiseSpec(0.1, 0))
+    np.testing.assert_array_equal(times, expected.times)
+    np.testing.assert_array_equal(values, expected.values)
+    assert lines == list(range(2, expected.n_samples + 2))

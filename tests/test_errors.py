@@ -43,6 +43,7 @@ CASES = {
     "hint-inf": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=np.inf)),
     "dt-nan": lambda s, p: sw.DuffingParams(dt=NAN),
     "t-span-inf": lambda s, p: sw.DuffingParams(t_span=np.inf),
+    "duffing-steps-past-max-count": lambda s, p: sw.DuffingParams(dt=1e-300),
     "omega-exponent-nan": lambda s, p: sw.DuffingParams(omega_exponent=NAN),
     "sigma-inf": lambda s, p: sw.NoiseSpec(sigma=np.inf),
     "seed-negative": lambda s, p: sw.NoiseSpec(seed=-1),
