@@ -76,8 +76,6 @@ from .transform import (
     default_grid_size,
     extract_demodulated_band,
     forward_spectrum,
-    interp_phase_to_time,
-    resample_to_phase,
 )
 
 __all__ = [
@@ -97,6 +95,5 @@ __all__ = [
     "window_segment",
     "PhaseEstimateConfig", "estimate_phase", "exact_phase_from_samples",
     "DemodulatedBand", "PhaseDomainSignal", "band_indices", "default_grid_size",
-    "extract_demodulated_band", "forward_spectrum", "interp_phase_to_time",
-    "resample_to_phase",
+    "extract_demodulated_band", "forward_spectrum",
 ]

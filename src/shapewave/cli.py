@@ -175,8 +175,11 @@ def cmd_extract(args, parser) -> int:
 
     prefix = args.out_prefix if args.out_prefix is not None else args.input.removesuffix(".csv")
     coeffs = result.shape.coeffs
-    resid_norm = float(np.linalg.norm(result.residual))
-    rel_resid = resid_norm / float(np.linalg.norm(signal.values))
+    # both norms on one power-of-two scale of the record, so that no amplitude overflows a square
+    e = np.frexp(np.max(np.abs(signal.values)))[1]
+    resid_norm = float(np.linalg.norm(np.ldexp(result.residual, -e)))
+    rel_resid = resid_norm / float(np.linalg.norm(np.ldexp(signal.values, -e)))
+    resid_norm = float(np.ldexp(resid_norm, e))
     payload = {
         "band_limit": result.shape.band_limit,
         "l_theta": result.l_theta,

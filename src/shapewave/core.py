@@ -69,18 +69,6 @@ class PhaseFunction:
     phases: np.ndarray
     l_theta: int
 
-    @property
-    def phase_origin(self) -> float:
-        return float(self.phases[0])
-
-    @property
-    def span(self) -> float:
-        return float(self.phases[-1] - self.phases[0])
-
-    def normalized(self) -> np.ndarray:
-        """Phase mapped affinely onto [0, 1] over the record."""
-        return (self.phases - self.phases[0]) / self.span
-
 
 @dataclass(frozen=True)
 class NormalizedPhaseGrid:

@@ -165,15 +165,22 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
     a stack holding it alone.  ``grid`` asks for the phase-grid envelopes,
     which the spline route computes in any case.
 
+    Each record is fitted scaled by its power of two ``2**-e`` to a peak in
+    [0.5, 1), so that no amplitude the floats hold under- or overflows the
+    fit.  The scale is exact and is undone on the envelopes.
+
     Returns
     -------
-    (Rank1Fit, ndarray, ndarray or None, ndarray)
-        The stacked fit, the normalized coefficients (W x (K+1)), the
-        phase-grid envelopes (W x n; None where the direct route runs and
-        ``grid`` is false) and the records' envelopes on their own time
-        grids, back to back.
+    (Rank1Fit, ndarray, ndarray or None, ndarray, ndarray)
+        The stacked fit of the scaled records, the normalized coefficients
+        (W x (K+1)), the phase-grid envelopes (W x n; None where the direct
+        route runs and ``grid`` is false), the records' envelopes on their
+        own time grids, back to back, and the exponents e.
     """
-    blocks = _band_samples(np.fft.fft(_resample_stack(phases, values, m, n)), m, range(k_max + 1), m, True)
+    counts = [len(p) for p in phases]
+    exponent = np.frexp(np.maximum.reduceat(np.abs(values), np.cumsum([0] + counts[:-1])))[1]
+    blocks = np.fft.fft(_resample_stack(phases, np.ldexp(values, -np.repeat(exponent, counts)), m, n))
+    blocks = _band_samples(blocks, m, range(k_max + 1), m, True)
     blocks *= np.sqrt(n / m)
     if zero_dc:
         blocks[:, 0] = 0.0
@@ -204,7 +211,10 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
         values_time = _trig_stack(bins, phases)
     else:
         values_time = _interp_stack(closed, phases)
-    return fit, coeffs, values_phase, values_time
+    if values_phase is not None:
+        np.ldexp(values_phase, exponent[:, None], out=values_phase)
+    np.ldexp(values_time, np.repeat(exponent, counts), out=values_time)
+    return fit, coeffs, values_phase, values_time, exponent
 
 
 def extract_shape(
@@ -238,20 +248,21 @@ def extract_shape(
         ``envelope.values_time * shape(phase.phases)``.
     """
     n, k_max = _grid_and_bands(signal.n_samples, phase.l_theta, grid_size, band_limit)
-    fit, coeffs, values_phase, values_time = _fit_stack(
+    fit, coeffs, values_phase, values_time, (e,) = _fit_stack(
         [phase.phases], signal.values, phase.l_theta, n, k_max, zero_dc, grid=True)
     coeffs = coeffs[0]
     residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 
-    # singular values past rank l_theta are reported as 0
+    # singular values past rank l_theta are reported as 0; the fit's are those of the record times 2**-e
     s = fit.singular_values[0]
-    singular_values = np.concatenate((s, np.zeros(2 * len(coeffs) - 1 - len(s))))
-    # squared after a power-of-two scale to sigma1, so that neither a tiny nor a huge record under- or overflows
-    s_sq = np.ldexp(singular_values, -np.frexp(s[0])[1]) ** 2
+    s = np.concatenate((s, np.zeros(2 * len(coeffs) - 1 - len(s))))
+    s_sq = s**2
+    with np.errstate(over="ignore"):  # inf only where the value exceeds the float range
+        singular_values, objective = np.ldexp(s, e), np.ldexp(fit.objective[0], 2 * e)
     diagnostics = FitDiagnostics(
         singular_values=singular_values,
         rank1_energy_fraction=float(s_sq[0] / np.sum(s_sq)),
-        objective_value=float(fit.objective[0]),
+        objective_value=float(objective),
     )
     return ExtractionResult(
         shape=ShapeFunction(coeffs=coeffs),

@@ -273,7 +273,7 @@ def _fit_windows(signal: Signal, phase: PhaseFunction, members, m: int, n: int, 
     """
     phases, values, chi = _cut(phase.phases, signal.values, [window for _, window in members])
     try:
-        _, coeffs, _, values_time = _fit_stack(phases, values, m, n, k_max)
+        _, coeffs, _, values_time, _ = _fit_stack(phases, values, m, n, k_max)
     except ShapewaveError as exc:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]

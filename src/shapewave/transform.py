@@ -18,7 +18,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .core import MAX_COUNT, NormalizedPhaseGrid, PhaseFunction, Signal, _is_count
+from .core import MAX_COUNT, NormalizedPhaseGrid, _is_count
 from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse, InvalidArgument
 
 
@@ -219,32 +219,12 @@ def default_grid_size(n_samples: int, l_theta: int) -> int:
     return 1 << int(max(n_samples, 8 * l_theta) - 1).bit_length()
 
 
-def resample_to_phase(signal: Signal, phase: PhaseFunction, n: int) -> PhaseDomainSignal:
-    """Resample a signal onto the uniform normalized-phase grid.
-
-    A natural cubic spline through ``(phi(t_l), f(t_l))`` is evaluated at
-    ``phi_j = j/n``.  The grid must be a power of two with ``n >= 4*l_theta``
-    so every harmonic band up to the first is resolvable.
-
-    Raises
-    ------
-    GridTooCoarse
-        If ``n < 4 * l_theta``.
-    """
-    values = _resample_stack([phase.phases], signal.values, phase.l_theta, n)[0]
-    return PhaseDomainSignal(
-        grid=NormalizedPhaseGrid(n=n),
-        values=values,
-        spectrum=forward_spectrum(values),
-        l_theta=phase.l_theta,
-    )
-
-
 def _resample_stack(phases, values, l_theta: int, n: int) -> np.ndarray:
-    """:func:`resample_to_phase` values of records with ``l_theta`` periods, one row each.
+    """Records with ``l_theta`` periods, splined from ``(phi(t_l), f(t_l))`` onto ``phi_j = j/n``, one row each.
 
     ``phases`` holds each record's phase samples and ``values`` the records'
-    values back to back.  All records are resampled by one stacked spline.
+    values back to back; one stacked spline serves all records.  A grid
+    ``n < 4*l_theta`` cannot resolve band 1 and raises :class:`GridTooCoarse`.
     Query j of a record lies in the interval that counts its interior nodes
     with ``phi_l <= j/n``, i.e. ``ceil(phi_l*n) <= j``: a running sum of a
     ``bincount``, offset by the nodes of the records before it.  This is
@@ -341,26 +321,13 @@ def extract_demodulated_band(pds: PhaseDomainSignal, k: int) -> DemodulatedBand:
     return DemodulatedBand(k=k, values=bands[0])
 
 
-def interp_phase_to_time(values_phase, phase: PhaseFunction) -> np.ndarray:
-    """Interpolate phase-grid samples back onto the time grid ``phase`` is aligned with.
-
-    The power-of-two phase grid is closed periodically at phi = 1 (every
-    quantity carried on it is one record-period of a periodic function),
-    then a natural cubic spline is evaluated at ``phi(t_l)``.
-    """
-    values_phase = np.asarray(values_phase, dtype=float)
-    if values_phase.ndim != 1:
-        raise InvalidArgument("phase-grid samples must be a 1-d sequence")
-    _check_power_of_two(len(values_phase), "phase-grid length")
-    return _interp_stack(np.append(values_phase, values_phase[0])[None], [phase.phases])
-
-
 def _interp_stack(closed: np.ndarray, phases) -> np.ndarray:
-    """:func:`interp_phase_to_time` of each row of ``closed`` at its own phase samples, back to back.
+    """Each row of ``closed`` splined back to its own record's phase samples, back to back.
 
-    Row r holds the samples at the nodes ``k/n``, k = 0..n, the grid closed
-    periodically (its last sample is its first).  All rows share the nodes,
-    and one stacked spline serves them.  A phi lies in interval
+    Row r holds one record-period of a periodic quantity at the nodes
+    ``k/n``, k = 0..n, the grid closed periodically (its last sample is its
+    first), and is evaluated at record r's normalized phase.  All rows share
+    the nodes, and one stacked spline serves them.  A phi lies in interval
     ``floor(phi*n)``, capped at n-1.  This is exact: n is a power of two, so
     neither ``phi*n`` nor ``k/n`` rounds.  Row r's index is then offset by
     ``r*(n+1)``.

@@ -34,3 +34,16 @@ def make_tone(freq: int, n_samples: int = 2048, endpoint: bool = True):
     signal = sw.validate_signal(t, np.cos(2.0 * np.pi * freq * t))
     phase = sw.exact_phase_from_samples(signal, 2.0 * np.pi * freq * t)
     return signal, phase
+
+
+def resample_one(signal, phase, n: int):
+    """The record resampled onto the n-point phase grid by the fit's stacked resample, as a stack of one."""
+    values = sw.transform._resample_stack([phase.phases], signal.values, phase.l_theta, n)[0]
+    return sw.PhaseDomainSignal(grid=sw.NormalizedPhaseGrid(n=n), values=values,
+                                spectrum=sw.forward_spectrum(values), l_theta=phase.l_theta)
+
+
+def interp_one(values_phase, phase):
+    """Phase-grid samples, closed periodically, splined back to the phase's time grid as a stack of one."""
+    values_phase = np.asarray(values_phase, dtype=float)
+    return sw.transform._interp_stack(np.append(values_phase, values_phase[0])[None], [phase.phases])

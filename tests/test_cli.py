@@ -156,6 +156,21 @@ class TestExtract:
         assert (tmp_path / "run_a.shape.csv").read_bytes() == \
             (tmp_path / "run_b.shape.csv").read_bytes()
 
+    def test_large_amplitude_norms_are_finite(self, ex1_files, tmp_path, capsys):
+        # 1e160 squared overflows, but neither norm does
+        signal_path, phase_path, _ = ex1_files
+        signal = sw.load_signal_csv(signal_path)
+        big = tmp_path / "big.csv"
+        big.write_text("t,f\n" + "".join(f"{t:.17g},{f * 1e160:.17g}\n"
+                                          for t, f in zip(signal.times, signal.values)))
+        assert run(["extract", big, "--phase", phase_path]) == 0
+        out, err = capsys.readouterr()
+        fields = dict(part.split("=") for part in out.strip().splitlines()[-1].split())
+        assert np.isfinite(float(fields["resid"]))
+        payload = json.loads((tmp_path / "big.result.json").read_text())
+        assert np.isfinite(payload["relative_residual"]) and np.isfinite(payload["residual_norm"])
+        assert err == ""
+
 
 class TestExtractLocal:
     def test_stationary_track(self, ex1_files, tmp_path, capsys):

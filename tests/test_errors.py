@@ -7,6 +7,12 @@ from shapewave.errors import InvalidArgument
 NAN = float("nan")
 
 
+def phase_domain(signal):
+    """The example1 record's values taken as its own 4 096-point phase grid, with 20 periods."""
+    return sw.PhaseDomainSignal(grid=sw.NormalizedPhaseGrid(n=4096), values=signal.values,
+                                spectrum=sw.forward_spectrum(signal.values), l_theta=20)
+
+
 def test_invalid_argument_is_value_error_not_domain_error():
     assert issubclass(InvalidArgument, ValueError)
     assert not issubclass(InvalidArgument, sw.ShapewaveError)
@@ -34,11 +40,8 @@ CASES = {
     "band-limit-fraction": lambda s, p: sw.extract_shape(s, p, band_limit=2.5),
     "grid-0": lambda s, p: sw.extract_shape(s, p, grid_size=0),
     "grid-float": lambda s, p: sw.extract_shape(s, p, grid_size=4096.0),
-    "grid-negative": lambda s, p: sw.resample_to_phase(s, p, -4),
-    "resample-grid-float": lambda s, p: sw.resample_to_phase(s, p, 4096.0),
+    "grid-negative": lambda s, p: sw.extract_shape(s, p, grid_size=-4),
     "spectrum-empty": lambda s, p: sw.forward_spectrum([]),
-    "interp-empty": lambda s, p: sw.interp_phase_to_time([], p),
-    "interp-grid-1000": lambda s, p: sw.interp_phase_to_time(np.ones(1000), p),
     "hint-nan": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=NAN)),
     "hint-inf": lambda s, p: sw.estimate_phase(s, sw.PhaseEstimateConfig(fundamental_hint=np.inf)),
     "dt-nan": lambda s, p: sw.DuffingParams(dt=NAN),
@@ -61,8 +64,8 @@ CASES = {
     "band-indices-l-theta-negative": lambda s, p: sw.band_indices(1, -3, 64),
     "band-indices-k-fraction": lambda s, p: sw.band_indices(1.5, 20, 4096),
     "band-indices-k-bool": lambda s, p: sw.band_indices(True, 20, 4096),
-    "demodulated-band-k-fraction": lambda s, p: sw.extract_demodulated_band(sw.resample_to_phase(s, p, 4096), 1.5),
-    "demodulated-band-k-bool": lambda s, p: sw.extract_demodulated_band(sw.resample_to_phase(s, p, 4096), True),
+    "demodulated-band-k-fraction": lambda s, p: sw.extract_demodulated_band(phase_domain(s), 1.5),
+    "demodulated-band-k-bool": lambda s, p: sw.extract_demodulated_band(phase_domain(s), True),
     "sample-fraction": lambda s, p: sw.ShapeFunction(np.ones(3, complex)).sample(2.5),
     "sample-bool": lambda s, p: sw.ShapeFunction(np.ones(3, complex)).sample(True),
     "sample-0": lambda s, p: sw.ShapeFunction(np.ones(3, complex)).sample(0),

@@ -13,7 +13,7 @@ import shapewave as sw
 from shapewave import transform
 from shapewave.errors import InvalidArgument
 
-from conftest import make_tone, spectrum_frequencies
+from conftest import interp_one, make_tone, resample_one, spectrum_frequencies
 
 
 def naive_dft(values):
@@ -68,7 +68,7 @@ class TestResampleToPhase:
         t = np.linspace(0.0, 1.0, 512)
         signal = sw.validate_signal(t, np.full(512, 3.25))
         phase = sw.exact_phase_from_samples(signal, 40.0 * np.pi * t)
-        pds = sw.resample_to_phase(signal, phase, 256)
+        pds = resample_one(signal, phase, 256)
         np.testing.assert_allclose(pds.values, 3.25, atol=1e-12)
         omega = spectrum_frequencies(256)
         off_dc = np.abs(pds.spectrum[omega != 0])
@@ -76,7 +76,7 @@ class TestResampleToPhase:
 
     def test_pure_tone_resampling(self):
         signal, phase = make_tone(20)
-        pds = sw.resample_to_phase(signal, phase, 1024)
+        pds = resample_one(signal, phase, 1024)
         omega = spectrum_frequencies(1024)
         peak = np.abs(pds.spectrum[omega == 20][0])
         assert abs(peak - 512.0) <= 0.005 * 512.0
@@ -85,7 +85,7 @@ class TestResampleToPhase:
 
     def test_example1_band_energy_concentration(self, example1):
         signal, _, _, phase = example1
-        pds = sw.resample_to_phase(signal, phase, 4096)
+        pds = resample_one(signal, phase, 4096)
         omega = spectrum_frequencies(4096)
         in_band = np.zeros(len(omega), dtype=bool)
         for m in range(0, 4096 // 40 + 1):
@@ -96,11 +96,11 @@ class TestResampleToPhase:
     def test_grid_too_coarse(self):
         signal, phase = make_tone(20)
         with pytest.raises(sw.GridTooCoarse):
-            sw.resample_to_phase(signal, phase, 64)
+            resample_one(signal, phase, 64)
 
     def test_conjugate_symmetry_and_parseval(self, example1):
         signal, _, _, phase = example1
-        pds = sw.resample_to_phase(signal, phase, 1024)
+        pds = resample_one(signal, phase, 1024)
         n = pds.grid.n
         spec = pds.spectrum
         omega = spectrum_frequencies(n)
@@ -157,7 +157,7 @@ class TestDemodulatedBands:
         l_theta = 20
         signal = sw.validate_signal(t, np.cos(2.0 * np.pi * l_theta * t))
         phase = sw.exact_phase_from_samples(signal, 2.0 * np.pi * l_theta * t)
-        pds = sw.resample_to_phase(signal, phase, 1024)
+        pds = resample_one(signal, phase, 1024)
         g1 = sw.extract_demodulated_band(pds, 1).values
         np.testing.assert_allclose(g1, 0.5, atol=1e-7)
         for k in (0, 2):
@@ -230,7 +230,7 @@ class TestDemodulatedBands:
 
     def test_band_energy_identity(self, example1):
         signal, _, _, phase = example1
-        pds = sw.resample_to_phase(signal, phase, 1024)
+        pds = resample_one(signal, phase, 1024)
         n, l_theta = 1024, phase.l_theta
         k_max = sw.default_band_limit(n, l_theta)
         omega = spectrum_frequencies(n)
@@ -251,7 +251,7 @@ class TestDemodulatedBands:
 class TestInterpPhaseToTime:
     def test_constant(self, example1):
         _, _, _, phase = example1
-        out = sw.interp_phase_to_time(np.full(256, 2.5), phase)
+        out = interp_one(np.full(256, 2.5), phase)
         np.testing.assert_allclose(out, 2.5, atol=1e-12)
 
     def test_linear_phase_identity(self):
@@ -265,8 +265,8 @@ class TestInterpPhaseToTime:
         signal = sw.validate_signal(t, func(t))
         phase = sw.exact_phase_from_samples(signal, 2.0 * np.pi * 8.0 * t)
         grid_values = func(np.arange(n) / n)
-        out = sw.interp_phase_to_time(grid_values, phase)
-        target = func(phase.normalized())
+        out = interp_one(grid_values, phase)
+        target = func(transform._normalized([phase.phases]))
         assert np.max(np.abs(out - target)) <= 1e-7 * np.max(np.abs(target))
 
     def test_round_trip(self):
@@ -276,8 +276,8 @@ class TestInterpPhaseToTime:
         values = np.cos(theta) + 0.3 * np.cos(2.0 * theta + 0.7)
         signal = sw.validate_signal(t, values)
         phase = sw.exact_phase_from_samples(signal, theta)
-        pds = sw.resample_to_phase(signal, phase, 4096)
-        back = sw.interp_phase_to_time(pds.values, phase)
+        pds = resample_one(signal, phase, 4096)
+        back = interp_one(pds.values, phase)
         assert np.max(np.abs(back - values)) <= 1e-4 * np.max(np.abs(values))
 
 
@@ -433,7 +433,7 @@ class TestSplineIntervals:
     def test_resample_index_is_searchsorted(self, data, log_n):
         n = 1 << log_n
         signal, phase = unit_phase(data.draw(node_adjacent(n)))
-        x, xq, i = spline_call(lambda: transform.resample_to_phase(signal, phase, n))
+        x, xq, i = spline_call(lambda: resample_one(signal, phase, n))
         np.testing.assert_array_equal(xq, np.arange(n) / n)
         np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], xq, "right"))
 
@@ -443,7 +443,7 @@ class TestSplineIntervals:
         n = 1 << log_n
         _, phase = unit_phase(data.draw(node_adjacent(n)))
         values = np.cos(np.arange(n))
-        x, xq, i = spline_call(lambda: transform.interp_phase_to_time(values, phase))
+        x, xq, i = spline_call(lambda: interp_one(values, phase))
         assert xq[0] == 0.0 and xq[-1] == 1.0
         np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], xq, "right"))
 
@@ -484,16 +484,18 @@ class TestSplineIntervals:
     @pytest.mark.parametrize("n", [1024, 32768])
     def test_resample_equals_generic_spline(self, long_record, n):
         signal, phase = long_record
-        pds = transform.resample_to_phase(signal, phase, n)
-        ref = transform.natural_cubic_spline(phase.normalized(), signal.values, pds.grid.nodes)
+        pds = resample_one(signal, phase, n)
+        phi = transform._normalized([phase.phases])
+        ref = transform.natural_cubic_spline(phi, signal.values, pds.grid.nodes)
         assert np.array_equal(pds.values, ref)
 
     @pytest.mark.parametrize("n", [4096, 256])
     def test_interp_equals_generic_spline(self, long_record, n):
         _, phase = long_record
         v = np.random.default_rng(n).standard_normal(n)
-        ref = transform.natural_cubic_spline(np.arange(n + 1) / n, np.append(v, v[0]), phase.normalized())
-        assert np.array_equal(transform.interp_phase_to_time(v, phase), ref)
+        phi = transform._normalized([phase.phases])
+        ref = transform.natural_cubic_spline(np.arange(n + 1) / n, np.append(v, v[0]), phi)
+        assert np.array_equal(interp_one(v, phase), ref)
 
 
 @st.composite
@@ -520,14 +522,14 @@ class TestStackedSpline:
         stacked = transform._resample_stack(phases, np.concatenate([signal.values for signal, _ in records]), 1, n)
         assert stacked.shape == (len(records), n)
         for row, (signal, phase) in zip(stacked, records):
-            assert np.array_equal(row, sw.resample_to_phase(signal, phase, n).values)
+            assert np.array_equal(row, resample_one(signal, phase, n).values)
 
         values = np.sin(np.arange(len(records) * n_interp) * 0.7).reshape(len(records), n_interp)
         closed = np.concatenate((values, values[:, :1]), axis=1)
         flat = transform._interp_stack(closed, phases)
         rows = np.split(flat, np.cumsum([len(phase.phases) for _, phase in records])[:-1])
         for row, v, (_, phase) in zip(rows, values, records):
-            assert np.array_equal(row, sw.interp_phase_to_time(v, phase))
+            assert np.array_equal(row, interp_one(v, phase))
 
 
 class TestEnvelopeRoutes:
