@@ -141,24 +141,33 @@ class ExtractionResult:
 def evaluate_shape(coeffs: np.ndarray, tau):
     """Evaluate ``c_0 + 2 * sum_{k>=1} Re(c_k exp(1j k tau))`` vectorized.
 
-    The sum is a polynomial in ``z = exp(1j tau)``, summed by Horner's rule
-    in place: O(len(tau) * K) multiply-adds and O(len(tau)) memory.  Taking
-    powers of ``z`` never rounds the product ``k * tau``, so the result stays
+    The sum is a polynomial in ``z = exp(1j tau)``, summed by :func:`_horner`
+    in O(len(tau) * K) multiply-adds and O(len(tau)) memory.  Taking powers
+    of ``z`` never rounds the product ``k * tau``, so the result stays
     accurate at large phase.  A stack of coefficient vectors ``(..., K+1)``
     gives one row of values per vector, each equal to its own evaluation.
     """
     coeffs = np.asarray(coeffs)
     tau_arr = np.atleast_1d(np.asarray(tau, dtype=float))
-    z = np.exp(1j * tau_arr)
     # coefficient k of every stacked vector, shaped to broadcast against z
-    column = coeffs.shape[:-1] + (1,) * z.ndim
-    acc = np.zeros(coeffs.shape[:-1] + z.shape, dtype=complex)
-    for k in range(coeffs.shape[-1] - 1, 0, -1):
-        acc += coeffs[..., k].reshape(column)
-        acc *= z
-    out = 2.0 * acc.real
-    out += np.real(coeffs[..., 0]).reshape(column)
+    column = coeffs.shape[:-1] + (1,) * tau_arr.ndim
+    z = np.broadcast_to(np.exp(1j * tau_arr), coeffs.shape[:-1] + tau_arr.shape)
+    out = _horner(z, lambda k: coeffs[..., k].reshape(column), coeffs.shape[-1] - 1)
     return out if np.ndim(tau) or coeffs.ndim > 1 else float(out[0])
+
+
+def _horner(z: np.ndarray, term, top: int) -> np.ndarray:
+    """``Re c_0 + 2 Re sum_{k=1..top} c_k z**k`` by Horner's rule, in place in one complex accumulator.
+
+    ``z`` has the values' shape, a broadcast view allowed; ``term(k)`` gives ``c_k``, broadcastable
+    against it: one per stacked vector, or one per sample."""
+    acc = np.zeros(z.shape, dtype=complex)
+    for k in range(top, 0, -1):
+        acc += term(k)
+        acc *= z
+    out = np.multiply(acc.real, 2.0)
+    out += np.real(term(0))
+    return out
 
 
 def validate_signal(times, values) -> Signal:
@@ -244,6 +253,8 @@ def normalize_rank1_factors(a_raw, c_raw, s1):
     value ``s1`` into the envelope, rebalances so the shape peaks at 1 in
     absolute value on the reference grid, and picks the sign that makes the
     envelope mean nonnegative.  The product envelope * shape is unchanged.
+    The fit applies the same rule, :func:`_normalization`, to the sign of
+    its envelope's bin 0.
 
     Every argument may carry the same leading stack axes; each stacked
     factor pair is then normalized on its own, exactly as if alone.
@@ -270,17 +281,22 @@ def normalize_rank1_factors(a_raw, c_raw, s1):
         If any ``s1`` is not positive or any shape factor is identically zero.
     """
     a_raw = np.asarray(a_raw, dtype=float)
-    c_raw = np.asarray(c_raw, dtype=complex)
-    s1 = np.asarray(s1, dtype=float)
+    scale, coeffs = _normalization(np.mean(a_raw, axis=-1) >= 0.0, np.asarray(c_raw, dtype=complex),
+                                   np.asarray(s1, dtype=float))
+    return scale[..., None] * a_raw, coeffs
+
+
+def _normalization(nonnegative, c_raw: np.ndarray, s1: np.ndarray):
+    """The rule of :func:`normalize_rank1_factors`, told whether each raw envelope's mean is nonnegative.
+
+    Returns the factor ``sign * s1 * peak`` of the raw envelope and the normalized coefficients."""
     if not np.all(s1 > 0.0):
         raise DegenerateFactors("leading singular value must be positive")
     peak = np.max(np.abs(_reference_grid_values(c_raw)), axis=-1)
     if np.any(peak == 0.0):
         raise DegenerateFactors("shape factor is identically zero")
-    sign = np.where(np.mean(a_raw, axis=-1) >= 0.0, 1.0, -1.0)
-    values_phase = (sign * s1 * peak)[..., None] * a_raw
-    coeffs = (sign / peak)[..., None] * c_raw
-    return values_phase, coeffs
+    sign = np.where(nonnegative, 1.0, -1.0)
+    return sign * s1 * peak, (sign / peak)[..., None] * c_raw
 
 
 def _reference_grid_values(coeffs: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ fitted as one stack of such matrices.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ from .core import (
     ShapeFunction,
     Signal,
     _is_count,
+    _normalization,
     evaluate_shape,
-    normalize_rank1_factors,
 )
 from .errors import DegenerateInput, InvalidArgument, NonConvergence, NonFiniteValue
 from .transform import (
@@ -192,12 +193,8 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
     c_raw *= np.exp(-1j * np.arange(k_max + 1) * origins[:, None])
     # the trim leaves an even m's bin m/2 empty
     bins = np.sqrt(n / m) * np.fft.rfft(fit.left)[..., : (m + 1) // 2]
-    # the normalization takes the envelope's sign from its mean, Re X_0 / n, and scales the
-    # envelope it is given; given a stand-in of that sign and size 1, it returns the stand-in
-    # times the scale, exactly
-    sign = np.where(bins[:, 0].real >= 0.0, 1.0, -1.0)
-    unit, coeffs = normalize_rank1_factors(sign[:, None], c_raw, fit.sigma1)
-    scale = unit[:, 0] * sign
+    # the envelope's mean is Re X_0 / n
+    scale, coeffs = _normalization(bins[:, 0].real >= 0.0, c_raw, fit.sigma1)
     direct = (m + 1) // 2 - 1 <= _DIRECT_HARMONICS
     values_phase = None
     if grid or not direct:
@@ -211,10 +208,21 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
         values_time = _trig_stack(bins, phases)
     else:
         values_time = _interp_stack(closed, phases)
-    if values_phase is not None:
-        np.ldexp(values_phase, exponent[:, None], out=values_phase)
-    np.ldexp(values_time, np.repeat(exponent, counts), out=values_time)
+    with _within_float_range("envelope"):
+        if values_phase is not None:
+            np.ldexp(values_phase, exponent[:, None], out=values_phase)
+        np.ldexp(values_time, np.repeat(exponent, counts), out=values_time)
     return fit, coeffs, values_phase, values_time, exponent
+
+
+@contextlib.contextmanager
+def _within_float_range(what: str):
+    """Raise :class:`NonFiniteValue` where a result computed in this block would overflow."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteValue(f"{what} exceeds the float range") from exc
 
 
 def extract_shape(
@@ -251,7 +259,8 @@ def extract_shape(
     fit, coeffs, values_phase, values_time, (e,) = _fit_stack(
         [phase.phases], signal.values, phase.l_theta, n, k_max, zero_dc, grid=True)
     coeffs = coeffs[0]
-    residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
+    with _within_float_range("residual"):
+        residual = signal.values - values_time * evaluate_shape(coeffs, phase.phases)
 
     # singular values past rank l_theta are reported as 0; the fit's are those of the record times 2**-e
     s = fit.singular_values[0]

@@ -23,7 +23,8 @@ import numpy as np
 
 from .core import PhaseFunction, ShapeFunction, Signal, _check_sample_count, _whole_periods
 from .errors import CenterOutOfRange, InvalidArgument, ShapewaveError, WindowTooShort
-from .extract import _check_band_limit, _fit_stack, _grid_and_bands, _padded, _pair_distances
+from .extract import (_check_band_limit, _fit_stack, _grid_and_bands, _padded, _pair_distances,
+                      _within_float_range)
 
 #: Taper level below which the de-biased envelope is considered unreliable.
 TAPER_RELIABLE = 0.1
@@ -274,15 +275,16 @@ def _fit_windows(signal: Signal, phase: PhaseFunction, members, m: int, n: int, 
     phases, values, chi = _cut(phase.phases, signal.values, [window for _, window in members])
     try:
         _, coeffs, _, values_time, _ = _fit_stack(phases, values, m, n, k_max)
+        reliable = chi > TAPER_RELIABLE
+        # the de-biased envelopes overwrite the stack's envelope values: a second array (or one per
+        # window) lets malloc hand the stack's freed buffers back to the system after every stack, and
+        # a default track takes about two thirds more page faults
+        with _within_float_range("de-tapered envelope"):
+            envelopes = np.divide(values_time, chi, out=values_time, where=reliable)
     except ShapewaveError as exc:
         if len(members) == 1:
             return [(members[0][0], None, None, _describe(exc))]
         return [out for member in members for out in _fit_windows(signal, phase, [member], m, n, k_max)]
-    # the de-biased envelopes overwrite the stack's envelope values: a second array (or one per window)
-    # lets malloc hand the stack's freed buffers back to the system after every stack, and a default
-    # track takes about two thirds more page faults
-    reliable = chi > TAPER_RELIABLE
-    envelopes = np.divide(values_time, chi, out=values_time, where=reliable)
     envelopes[~reliable] = np.nan
     envelopes = np.split(envelopes, np.cumsum([len(p) for p in phases[:-1]]))
     return [(i, ShapeFunction(coeffs=c), env, None) for (i, _), c, env in zip(members, coeffs, envelopes)]

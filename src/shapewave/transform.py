@@ -18,7 +18,7 @@ from importlib.machinery import PathFinder
 
 import numpy as np
 
-from .core import MAX_COUNT, NormalizedPhaseGrid, _is_count
+from .core import MAX_COUNT, NormalizedPhaseGrid, _horner, _is_count
 from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse, InvalidArgument
 
 
@@ -345,25 +345,19 @@ def _trig_stack(bins: np.ndarray, phases) -> np.ndarray:
 
     Row r of ``bins`` holds ``b_0..b_H`` of record r, whose value at its
     normalized phase phi is ``Re b_0 + 2 Re sum_{k>=1} b_k z**k`` with
-    ``z = cos 2*pi*phi + i sin 2*pi*phi``.  The sum, with ``b_0`` halved,
-    runs by Horner's rule over all records' samples at once, each sample
-    taking its own record's bins, so every record's values are those of a
-    stack holding it alone.
+    ``z = cos 2*pi*phi + i sin 2*pi*phi``.  :func:`~shapewave.core._horner`
+    sums it over all records' samples at once, each sample taking its own
+    record's bins, so every record's values are those of a stack holding it
+    alone.
     """
     angle = _normalized(phases)
     angle *= 2.0 * np.pi
     z = np.empty(len(angle), dtype=complex)
     np.cos(angle, out=z.real)
     np.sin(angle, out=z.imag)
-    # the phases are spent before the sums take their buffers, and the values come last, in
+    # the phases are spent before the sum takes its buffers, and the values come last, in
     # a new array: reusing the phases' buffer for them took a default track about 1.7 times
     # the page faults
     del angle
     row = np.repeat(np.arange(len(phases)), [len(p) for p in phases])
-    bins = bins.copy()
-    bins[:, 0] *= 0.5
-    acc = bins[:, -1].take(row)
-    for k in range(bins.shape[-1] - 2, -1, -1):
-        acc *= z
-        acc += bins[:, k].take(row)
-    return np.multiply(acc.real, 2.0)
+    return _horner(z, lambda k: bins[:, k].take(row), bins.shape[-1] - 1)

@@ -47,3 +47,20 @@ def interp_one(values_phase, phase):
     """Phase-grid samples, closed periodically, splined back to the phase's time grid as a stack of one."""
     values_phase = np.asarray(values_phase, dtype=float)
     return sw.transform._interp_stack(np.append(values_phase, values_phase[0])[None], [phase.phases])
+
+
+def noisy_record(n_samples: int, periods: int, uniform: bool, seed: int):
+    """An example1-style record with noise 0.1 on [0, 1]: (times, exact theta, values).
+
+    The times are uniform, or sorted uniform-random draws with pinned ends.
+    """
+    rng = np.random.default_rng(seed)
+    if uniform:
+        t = np.linspace(0.0, 1.0, n_samples)
+    else:
+        t = np.sort(rng.uniform(0.0, 1.0, n_samples))
+        t[0], t[-1] = 0.0, 1.0
+    theta = 2.0 * np.pi * periods * t + 2.0 * np.cos(6.0 * np.pi * t) * periods / 40
+    values = (1.0 / (1.1 + np.cos(theta + np.cos(2.0 * theta))) / (2.0 + np.sin(2.0 * np.pi * t))
+              + 0.1 * rng.standard_normal(n_samples))
+    return t, theta, values

@@ -6,6 +6,8 @@ import pytest
 import shapewave as sw
 from shapewave.cli import main
 
+from conftest import noisy_record
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -170,6 +172,16 @@ class TestExtract:
         payload = json.loads((tmp_path / "big.result.json").read_text())
         assert np.isfinite(payload["relative_residual"]) and np.isfinite(payload["residual_norm"])
         assert err == ""
+
+    def test_envelope_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # a record whose envelope exceeds the float range (see TestPowerOfTwoScale)
+        t, theta, values = noisy_record(512, 5, False, 0)
+        sw.datasets.write_signal_csv(tmp_path / "big.csv", sw.validate_signal(t, np.ldexp(values, 1017)))
+        sw.datasets.write_phase_csv(tmp_path / "big.phase.csv", t, theta)
+        assert run(["extract", tmp_path / "big.csv", "--phase", tmp_path / "big.phase.csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: NonFiniteValue: envelope exceeds the float range"]
+        assert not (tmp_path / "big.result.json").exists()
 
 
 class TestExtractLocal:

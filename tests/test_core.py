@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shapewave as sw
-import shapewave.extract
+import shapewave.core
 from shapewave.core import SHAPE_GRID, _reference_grid_values, evaluate_shape
 
 from conftest import TAU_GRID
@@ -141,18 +141,6 @@ class TestNormalizeRank1Factors:
             sw.normalize_rank1_factors(np.ones(8), np.array([1.0 + 0j]), 0.0)
 
 
-def horner_normalize(a_raw, c_raw, s1):
-    """normalize_rank1_factors with the peak taken from evaluate_shape's Horner sum."""
-    a_raw, c_raw, s1 = np.asarray(a_raw, float), np.asarray(c_raw, complex), np.asarray(s1, float)
-    if not np.all(s1 > 0.0):
-        raise sw.DegenerateFactors("leading singular value must be positive")
-    peak = np.max(np.abs(evaluate_shape(c_raw, TAU_GRID)), axis=-1)
-    if np.any(peak == 0.0):
-        raise sw.DegenerateFactors("shape factor is identically zero")
-    sign = np.where(np.mean(a_raw, axis=-1) >= 0.0, 1.0, -1.0)
-    return (sign * s1 * peak)[..., None] * a_raw, (sign / peak)[..., None] * c_raw
-
-
 class TestInverseFftPeak:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(k_max=st.integers(1, 600), rows=st.integers(1, 4), decay=st.floats(0.0, 2.0),
@@ -196,8 +184,8 @@ class TestInverseFftPeak:
         phase = sw.exact_phase_from_samples(noisy, theta)
         band_limit = 30 if seed == 2 else None
         runs = []
-        for normalize in (sw.normalize_rank1_factors, horner_normalize):
-            monkeypatch.setattr(shapewave.extract, "normalize_rank1_factors", normalize)
+        for peak_values in (_reference_grid_values, lambda c: evaluate_shape(c, TAU_GRID)):
+            monkeypatch.setattr(shapewave.core, "_reference_grid_values", peak_values)
             runs.append((sw.extract_shape(noisy, phase, band_limit=band_limit),
                          sw.extract_shape_track(noisy, phase, band_limit=band_limit)))
         (result, track), (want, want_track) = runs

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shapewave as sw
 from shapewave.errors import InvalidArgument
+
+from conftest import noisy_record
 
 NAN = float("nan")
 
@@ -90,3 +96,63 @@ def test_band_limit_past_nyquist_fails_before_allocating(example1):
     # the band indices alone would take 8 PB, more than any address space
     with pytest.raises(sw.BandExceedsNyquist):
         sw.extract_shape(signal, phase, band_limit=10**15)
+
+
+BIG = np.finfo(float).max
+
+
+def outcome(call):
+    """What ``call()`` returns, or None where it raises a typed error."""
+    try:
+        return call()
+    except (sw.ShapewaveError, InvalidArgument):
+        return None
+
+
+def finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["example1", "uniform", "random"]), n_samples=st.integers(512, 2048),
+       periods=st.integers(5, 20), seed=st.integers(0, 2**16), peak=st.floats(5e-324, BIG),
+       time_exponent=st.integers(-300, 300), time_offset=st.just(0.0) | st.floats(-1e300, 1e300),
+       phase_offset=st.just(0.0) | st.floats(-1e12, 1e12) | st.floats(-1e300, 1e300),
+       spike=st.none() | st.floats(-BIG, BIG))
+# the two envelopes past the float range: the whole record's, and some windows' after the de-taper
+@example(kind="random", n_samples=512, periods=5, seed=0,
+         peak=float(np.ldexp(np.max(np.abs(noisy_record(512, 5, False, 0)[2])), 1017)),
+         time_exponent=0, time_offset=0.0, phase_offset=0.0, spike=None)
+@example(kind="example1", n_samples=4096, periods=20, seed=0, peak=0.99 * BIG,
+         time_exponent=0, time_offset=0.0, phase_offset=0.0, spike=None)
+def test_extreme_records_give_finite_outputs_or_typed_errors(kind, n_samples, periods, seed, peak, time_exponent,
+                                                            time_offset, phase_offset, spike):
+    # every public entry point, at any amplitude, time unit, time or phase origin and with a
+    # spike, returns finite outputs or raises a typed error, and warns of nothing
+    if kind == "example1":
+        signal, theta, _ = sw.gen_example1(4096)
+        t, values = signal.times, signal.values
+    else:
+        t, theta, values = noisy_record(n_samples, periods, kind == "uniform", seed)
+    values = values / np.max(np.abs(values)) * peak
+    if spike is not None:
+        values[seed % len(values)] = spike
+    t = t * 10.0**time_exponent + time_offset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        signal = outcome(lambda: sw.validate_signal(t, values))
+        if signal is None:
+            return
+        estimated = outcome(lambda: sw.estimate_phase(signal))
+        assert estimated is None or finite(estimated.phases)
+        phase = outcome(lambda: sw.exact_phase_from_samples(signal, theta + phase_offset))
+        if phase is None:
+            return
+        result = outcome(lambda: sw.extract_shape(signal, phase))
+        assert result is None or finite(result.shape.coeffs, result.envelope.values_phase,
+                                        result.envelope.values_time, result.residual,
+                                        result.fit.rank1_energy_fraction)
+        track = outcome(lambda: sw.extract_shape_track(signal, phase))
+        assert track is None or not np.any(np.isinf(track.drift))
+        for shape, envelope in zip(track.shapes if track else [], track.envelopes if track else []):
+            assert shape is None or finite(shape.coeffs, envelope[~np.isnan(envelope)])

@@ -9,7 +9,7 @@ import shapewave as sw
 import shapewave.extract
 from shapewave.extract import BandMatrix, _band_matrix, coefficients_from_right_vector
 
-from conftest import TAU_GRID, interp_one, make_tone, resample_one, spectrum_frequencies
+from conftest import TAU_GRID, interp_one, make_tone, noisy_record, resample_one, spectrum_frequencies
 
 
 def als_rank_one(entries, seed=0, tol=1e-12, max_iter=500):
@@ -329,15 +329,7 @@ class TestPowerOfTwoScale:
     @given(n_samples=st.integers(512, 2048), periods=st.integers(5, 30), uniform=st.booleans(),
            seed=st.integers(0, 2**16), k_phase=st.integers(-600, 600), k_fit=st.integers(-1000, 1016))
     def test_record_scaled_by_power_of_two(self, n_samples, periods, uniform, seed, k_phase, k_fit):
-        rng = np.random.default_rng(seed)
-        if uniform:
-            t = np.linspace(0.0, 1.0, n_samples)
-        else:
-            t = np.sort(rng.uniform(0.0, 1.0, n_samples))
-            t[0], t[-1] = 0.0, 1.0
-        theta = 2.0 * np.pi * periods * t + 2.0 * np.cos(6.0 * np.pi * t) * periods / 40
-        values = (1.0 / (1.1 + np.cos(theta + np.cos(2.0 * theta))) / (2.0 + np.sin(2.0 * np.pi * t))
-                  + 0.1 * rng.standard_normal(n_samples))
+        t, theta, values = noisy_record(n_samples, periods, uniform, seed)
         signal = sw.validate_signal(t, values)
 
         def phase_or_error(sig):
@@ -371,6 +363,18 @@ class TestPowerOfTwoScale:
         have_track = sw.extract_shape_track(scaled, phase)
         assert have_track.errors == want_track.errors
         assert np.array_equal(have_track.drift, want_track.drift, equal_nan=True)
+
+    def test_envelope_past_the_float_range_is_non_finite_value(self):
+        # the envelope of this record is 18 times its peak, so at 2**1017 it exceeds the float range
+        t, theta, values = noisy_record(512, 5, False, 0)
+        signal = sw.validate_signal(t, np.ldexp(values, 1017))
+        phase = sw.exact_phase_from_samples(signal, theta)
+        with pytest.raises(sw.NonFiniteValue, match="envelope exceeds the float range"):
+            sw.extract_shape(signal, phase)
+        # a window's envelope is smaller than the whole record's, and the track fits
+        track = sw.extract_shape_track(signal, phase)
+        assert all(e is None for e in track.errors)
+        assert all(np.all(np.isfinite(env[~np.isnan(env)])) for env in track.envelopes)
 
 
 class TestShapeDistance:

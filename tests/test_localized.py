@@ -428,6 +428,20 @@ class TestBatchedTrack:
         assert track.errors == [None, "DegenerateInput: band matrix is identically zero", None]
         assert_track_matches_per_window(zeroed, phase, track, mu=3)
 
+    def test_envelope_past_the_float_range_fails_its_window_alone(self, example1):
+        # at 0.99 times the largest float, the de-tapered envelope of some windows overflows
+        signal, _, _, phase = example1
+        big = sw.validate_signal(signal.times,
+                                 signal.values / np.max(np.abs(signal.values)) * (0.99 * np.finfo(float).max))
+        track = sw.extract_shape_track(big, phase)
+        failed = [e for e in track.errors if e is not None]
+        assert failed and len(failed) < len(track.errors) // 4
+        assert all(e == "NonFiniteValue: de-tapered envelope exceeds the float range" for e in failed)
+        for shape, env, error in zip(track.shapes, track.envelopes, track.errors):
+            assert (shape is None) == (env is None) == (error is not None)
+            if env is not None:
+                assert np.all(np.isfinite(shape.coeffs)) and np.all(np.isfinite(env[~np.isnan(env)]))
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(picks=st.lists(st.tuples(st.sampled_from(["before", "start", "end", "after"] + ["middle"] * 4),
                                     st.integers(0, 2**31)),
