@@ -16,6 +16,10 @@ class InvalidArgument(ValueError):
 
 # ---- signal / phase validation ---------------------------------------------
 
+class MismatchedLengths(ShapewaveError):
+    pass
+
+
 class NonIncreasingTimes(ShapewaveError):
     pass
 
@@ -51,10 +55,6 @@ class BandExceedsNyquist(ShapewaveError):
 
 
 # ---- rank-1 fitting ----------------------------------------------------------
-
-class MismatchedLengths(ShapewaveError):
-    pass
-
 
 class DegenerateInput(ShapewaveError):
     pass

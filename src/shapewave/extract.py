@@ -28,7 +28,7 @@ from .core import (
     _normalization,
     evaluate_shape,
 )
-from .errors import DegenerateInput, InvalidArgument, NonConvergence, NonFiniteValue
+from .errors import DegenerateInput, GridTooCoarse, InvalidArgument, NonConvergence, NonFiniteValue
 from .transform import (
     _band_samples,
     _check_power_of_two,
@@ -131,12 +131,13 @@ def coefficients_from_right_vector(right: np.ndarray) -> np.ndarray:
 
 
 def _grid_and_bands(n_samples: int, l_theta: int, grid_size: int | None, band_limit: int | None):
-    """The grid size n and band count K of a fit, defaulted as in :func:`extract_shape`."""
-    if grid_size is not None:
-        _check_power_of_two(grid_size, "grid size")
+    """The grid size n and band count K of a fit, defaulted as in :func:`extract_shape` and checked."""
     n = grid_size if grid_size is not None else default_grid_size(n_samples, l_theta)
+    _check_power_of_two(n, "grid size")
     k_max = band_limit if band_limit is not None else default_band_limit(n, l_theta)
     _check_band_limit(k_max)
+    if n < 4 * l_theta:  # a coarser grid cannot resolve band 1
+        raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * l_theta}")
     return n, k_max
 
 
@@ -180,7 +181,7 @@ def _fit_stack(phases, values, m: int, n: int, k_max: int, zero_dc: bool = False
     """
     counts = [len(p) for p in phases]
     exponent = np.frexp(np.maximum.reduceat(np.abs(values), np.cumsum([0] + counts[:-1])))[1]
-    blocks = np.fft.fft(_resample_stack(phases, np.ldexp(values, -np.repeat(exponent, counts)), m, n))
+    blocks = np.fft.fft(_resample_stack(phases, np.ldexp(values, -np.repeat(exponent, counts)), n))
     blocks = _band_samples(blocks, m, range(k_max + 1), m, True)
     blocks *= np.sqrt(n / m)
     if zero_dc:

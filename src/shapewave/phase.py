@@ -65,7 +65,6 @@ def _dominant_peak(magnitude: np.ndarray) -> int:
     mag[:MIN_PERIODS] = 0.0
     interior = (mag[1:-1] > mag[:-2]) & (mag[1:-1] > mag[2:])
     peaks = np.flatnonzero(interior) + 1
-    peaks = peaks[peaks >= MIN_PERIODS]
     if len(peaks) == 0:
         return int(np.argmax(mag))
     best = int(peaks[np.argmax(mag[peaks])])

@@ -19,7 +19,7 @@ from importlib.machinery import PathFinder
 import numpy as np
 
 from .core import MAX_COUNT, NormalizedPhaseGrid, _horner, _is_count
-from .errors import BandExceedsNyquist, DegenerateInput, GridTooCoarse, InvalidArgument
+from .errors import BandExceedsNyquist, DegenerateInput, InvalidArgument, NonFiniteValue
 
 
 def _load_dgtsv():
@@ -103,6 +103,8 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
         would read a new node set there).
     DegenerateInput
         If a node repeats, or LAPACK reports the slope system singular.
+    NonFiniteValue
+        If a value of the spline exceeds the float range.
     """
     x, y, xq = (np.asarray(a, dtype=float) for a in (x, y, xq))
     if x.ndim != 1 or y.shape != x.shape or len(x) < 2:
@@ -113,20 +115,21 @@ def natural_cubic_spline(x, y, xq) -> np.ndarray:
             raise InvalidArgument(f"spline {name} must be finite")
     if np.any(x[1:] < x[:-1]):
         raise InvalidArgument("spline nodes must be increasing")
-    if np.any(x[1:] == x[:-1]):
-        raise DegenerateInput("spline nodes must be distinct")
     return _spline(x, y, xq.ravel(), np.searchsorted(x[1:-1], xq.ravel(), "right")).reshape(xq.shape)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _spline(x, y, xq, i) -> np.ndarray:
     """:func:`natural_cubic_spline` of a stack of node sets, at a 1-D ``xq``.
 
-    ``x`` and ``y`` concatenate the node sets, each strictly increasing with at
-    least two nodes; a new set starts wherever ``x`` drops.  The caller
-    supplies each query's interval as an index into the concatenation: its
-    set's ``searchsorted(x_set[1:-1], xq, "right")`` plus the set's offset.
-    The pieces are summed in place, in blocks of at most 8 192 queries, in
-    the order ``y_i + s_i*u + c1*u**2 + c0*u**3``.
+    ``x`` and ``y`` concatenate the node sets, each increasing with at least
+    two nodes; a new set starts wherever ``x`` drops, and a node repeated
+    within a set raises :class:`DegenerateInput`.  The caller supplies each
+    query's interval as an index into the concatenation: its set's
+    ``searchsorted(x_set[1:-1], xq, "right")`` plus the set's offset.  The
+    pieces are summed in place, in blocks of at most 8 192 queries, in the
+    order ``y_i + s_i*u + c1*u**2 + c0*u**3``.  A value past the float range
+    (from a node gap too small for its step) is :class:`NonFiniteValue`.
     """
     s, c1, c0 = _spline_pieces(x, y)
     out = np.empty(len(xq))
@@ -148,6 +151,8 @@ def _spline(x, y, xq, i) -> np.ndarray:
         term = c0.take(ib)
         term *= u2
         acc += term
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteValue("spline values exceed the float range")
     return out
 
 
@@ -168,6 +173,8 @@ def _spline_pieces(x, y):
     """
     n = len(x)
     dx = np.diff(x)
+    if np.any(dx == 0.0):  # within a set, since a seam's gap is negative
+        raise DegenerateInput("spline nodes must be distinct")
     # rows balance the second derivative across their node; each set's end rows set it to zero
     last = np.append(np.flatnonzero(dx < 0), n - 1)
     first = np.concatenate(([0], last[:-1] + 1))
@@ -219,29 +226,21 @@ def default_grid_size(n_samples: int, l_theta: int) -> int:
     return 1 << int(max(n_samples, 8 * l_theta) - 1).bit_length()
 
 
-def _resample_stack(phases, values, l_theta: int, n: int) -> np.ndarray:
-    """Records with ``l_theta`` periods, splined from ``(phi(t_l), f(t_l))`` onto ``phi_j = j/n``, one row each.
+def _resample_stack(phases, values, n: int) -> np.ndarray:
+    """Records splined from ``(phi(t_l), f(t_l))`` onto ``phi_j = j/n``, one row each.
 
     ``phases`` holds each record's phase samples and ``values`` the records'
-    values back to back; one stacked spline serves all records.  A grid
-    ``n < 4*l_theta`` cannot resolve band 1 and raises :class:`GridTooCoarse`.
-    Query j of a record lies in the interval that counts its interior nodes
-    with ``phi_l <= j/n``, i.e. ``ceil(phi_l*n) <= j``: a running sum of a
-    ``bincount``, offset by the nodes of the records before it.  This is
-    exact: n is a power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
+    values back to back; one stacked spline serves all records.  ``n`` obeys
+    the grid rule of ``extract._grid_and_bands``.  Node l of record r is keyed
+    ``r*(n+1) + ceil(phi_l*n)``, and query j of record r lies in interval
+    ``cumsum(bincount(keys))[r*(n+1) + j] - 1``: the nodes of earlier records
+    and r's interior nodes with ``ceil(phi_l*n) <= j``.  This is exact: n is a
+    power of two, so neither ``phi_l*n`` nor ``j/n`` rounds.
     """
-    _check_power_of_two(n, "grid size")
-    if n < 4 * l_theta:
-        raise GridTooCoarse(f"grid size {n} < 4 * l_theta = {4 * l_theta}")
     x = _normalized(phases)
-    index = np.empty((len(phases), n), dtype=np.intp)
-    lo = 0
-    for row, p in zip(index, phases):
-        hi = lo + len(p)
-        first = np.ceil(x[lo + 1 : hi - 1] * n).clip(0, n).astype(np.intp)
-        np.cumsum(np.bincount(first, minlength=n + 1)[:n], out=row)
-        row += lo
-        lo = hi
+    key = np.ceil(x * n).astype(np.intp)
+    key += np.repeat(np.arange(0, len(phases) * (n + 1), n + 1), [len(p) for p in phases])
+    index = np.cumsum(np.bincount(key, minlength=len(phases) * (n + 1))).reshape(-1, n + 1)[:, :n] - 1
     grid = NormalizedPhaseGrid(n=n).nodes
     return _spline(x, values, _joined([grid] * len(phases)), index.ravel()).reshape(len(phases), n)
 

@@ -38,7 +38,7 @@ def make_tone(freq: int, n_samples: int = 2048, endpoint: bool = True):
 
 def resample_one(signal, phase, n: int):
     """The record resampled onto the n-point phase grid by the fit's stacked resample, as a stack of one."""
-    values = sw.transform._resample_stack([phase.phases], signal.values, phase.l_theta, n)[0]
+    values = sw.transform._resample_stack([phase.phases], signal.values, n)[0]
     return sw.PhaseDomainSignal(grid=sw.NormalizedPhaseGrid(n=n), values=values,
                                 spectrum=sw.forward_spectrum(values), l_theta=phase.l_theta)
 

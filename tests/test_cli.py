@@ -6,7 +6,7 @@ import pytest
 import shapewave as sw
 from shapewave.cli import main
 
-from conftest import noisy_record
+from conftest import make_tone, noisy_record
 
 
 def run(args):
@@ -70,6 +70,17 @@ class TestGen:
         out = tmp_path / "m.csv"
         assert run(["gen", "morph", "--n", 2048, "--l-theta", 16, "--out", out]) == 0
         assert (tmp_path / "m.phase.csv").exists()
+
+    def test_noisy_morph_adds_noise_and_tracks(self, tmp_path, capsys):
+        clean, noisy = tmp_path / "c.csv", tmp_path / "m.csv"
+        assert run(["gen", "morph", "--out", clean]) == 0
+        assert run(["gen", "morph", "--sigma", 0.1, "--seed", 3, "--out", noisy]) == 0
+        a, b = sw.load_signal_csv(clean), sw.load_signal_csv(noisy)
+        assert np.array_equal(a.times, b.times)
+        assert abs(np.std(b.values - a.values) - 0.1) <= 0.01
+        assert (tmp_path / "m.phase.csv").read_bytes() == (tmp_path / "c.phase.csv").read_bytes()
+        assert run(["extract-local", noisy, "--phase", tmp_path / "m.phase.csv"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bad_generator_usage_error(self, tmp_path):
         assert run(["gen", "nosuch", "--out", tmp_path / "x.csv"]) == 2
@@ -227,6 +238,11 @@ class TestExtractLocal:
         err = capsys.readouterr().err
         assert f"index {bad} out of range for 4096 samples" in err
 
+    def test_non_integer_center_is_usage_error(self, ex1_files, capsys):
+        signal_path, phase_path, _ = ex1_files
+        assert run(["extract-local", signal_path, "--phase", phase_path, "--centers", "1,x"]) == 2
+        assert "--centers must be comma-separated integers, got '1,x'" in capsys.readouterr().err
+
     def test_band_limit_above_default_is_fitted(self, ex1_files, capsys):
         signal_path, phase_path, _ = ex1_files
         assert run(["extract-local", signal_path, "--phase", phase_path,
@@ -343,6 +359,19 @@ def test_extreme_time_span_estimated_phase(tmp_path, capsys):
     sw.datasets.write_signal_csv(path, sw.validate_signal(t * 1e110, np.cos(theta) + 0.3 * np.cos(2.0 * theta)))
     assert run(["extract", path, "--estimate-phase"]) in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_time_step_estimated_phase_is_one_error_line(tmp_path, capsys):
+    # a time step of 1e-300 once ended in overflow warnings and a raw ValueError
+    signal, _ = make_tone(8, 512)
+    t = signal.times.copy()
+    t[1] = 1e-300
+    path = tmp_path / "tiny.csv"
+    sw.datasets.write_signal_csv(path, sw.validate_signal(t, signal.values))
+    assert run(["extract", path, "--estimate-phase"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: NonFiniteValue: spline values exceed the float range"]
 
 
 def test_memory_error_is_one_error_line(ex1_files, capsys, monkeypatch):

@@ -54,6 +54,14 @@ class TestValidatePhase:
         with pytest.raises(sw.MismatchedLengths, match=r"\(99,\).*\(256,\)"):
             sw.validate_phase(signal, 40.0 * np.pi * t[:99])
 
+    def test_nan_phase_reports_index(self):
+        t = np.linspace(0.0, 1.0, 256)
+        signal = sw.validate_signal(t, np.ones(256))
+        theta = 40.0 * np.pi * t
+        theta[7] = np.nan
+        with pytest.raises(sw.NonFiniteValue, match="non-finite phase entry at index 7"):
+            sw.validate_phase(signal, theta)
+
     def test_linear_phase_period_count(self):
         t = np.linspace(0.0, 1.0, 256)
         signal = sw.validate_signal(t, np.cos(40.0 * np.pi * t))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import shapewave as sw
 from shapewave.errors import InvalidArgument
 
-from conftest import noisy_record
+from conftest import make_tone, noisy_record
 
 NAN = float("nan")
 
@@ -89,6 +89,38 @@ def test_track_band_limit_below_one_raises_instead_of_recording(example1):
     signal, _, _, phase = example1
     with pytest.raises(InvalidArgument, match="band limit must be at least 1"):
         sw.extract_shape_track(signal, phase, centers=[1024, 2048], band_limit=0)
+
+
+def test_default_grid_past_max_count_raises():
+    # 16 samples of 1e17 periods: the default grid, 2**60 points, breaks the grid-size rule
+    t = np.arange(16.0)
+    signal = sw.validate_signal(t, np.cos(t))
+    phase = sw.exact_phase_from_samples(signal, 2.0 * np.pi * 1e17 * t / 15.0)
+    with pytest.raises(InvalidArgument, match="grid size must be a power of two no larger than"):
+        sw.extract_shape(signal, phase)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTinyStep:
+    """A valid record with one tiny step ends in the spline core's typed errors, never in a warning."""
+
+    @pytest.mark.parametrize("step, error, match", [
+        (5e-324, sw.DegenerateInput, "spline nodes must be distinct"),
+        (1e-300, sw.NonFiniteValue, "spline values exceed the float range")], ids=["5e-324", "1e-300"])
+    def test_phase_step(self, step, error, match):
+        # 5e-324 normalizes to a repeated node; 1e-300 overflows the spline's build
+        signal, phase = make_tone(8, 512)
+        theta = phase.phases.copy()
+        theta[1] = step
+        with pytest.raises(error, match=match):
+            sw.extract_shape(signal, sw.exact_phase_from_samples(signal, theta))
+
+    def test_time_step(self):
+        signal, _ = make_tone(8, 512)
+        t = signal.times.copy()
+        t[1] = 1e-300
+        with pytest.raises(sw.NonFiniteValue, match="spline values exceed the float range"):
+            sw.estimate_phase(sw.validate_signal(t, signal.values))
 
 
 def test_band_limit_past_nyquist_fails_before_allocating(example1):

@@ -124,6 +124,14 @@ class TestRankOneFit:
         with pytest.raises(sw.DegenerateInput):
             sw.rank_one_fit(BandMatrix(entries=np.zeros((4, 3))))
 
+    def test_svd_failure_is_non_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(sw.NonConvergence, match="SVD failed: SVD did not converge"):
+            sw.rank_one_fit(BandMatrix(entries=np.eye(3)))
+
     def test_tiny_matrix_is_not_zero(self):
         # every squared entry underflows to 0, but sigma1 does not
         fit = sw.rank_one_fit(BandMatrix(entries=np.full((6, 5), 1e-170)))
@@ -375,6 +383,56 @@ class TestPowerOfTwoScale:
         track = sw.extract_shape_track(signal, phase)
         assert all(e is None for e in track.errors)
         assert all(np.all(np.isfinite(env[~np.isnan(env)])) for env in track.envelopes)
+
+
+@st.composite
+def model_signal(draw):
+    """A noise-free model record ``a(t) * s(theta(t))``: (signal, exact phase).
+
+    The shape has 1-5 harmonics, the phase 8-30 whole periods and a slow
+    wobble, and the envelope ``+-(1 + sin(...)/2)`` either sign.
+    """
+    n_samples, periods = draw(st.integers(512, 2048)), draw(st.integers(8, 30))
+    harmonics, wobbles = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeffs = (rng.standard_normal(harmonics + 1) + 1j * rng.standard_normal(harmonics + 1)) \
+        / (1.0 + np.arange(harmonics + 1))
+    coeffs[0] = coeffs[0].real
+    t = np.linspace(0.0, 1.0, n_samples)
+    theta = 2.0 * np.pi * periods * t + rng.uniform(0.0, 1.0) * np.sin(2.0 * np.pi * wobbles * t)
+    envelope = draw(st.sampled_from([-1.0, 1.0])) * (1.0 + 0.5 * np.sin(2.0 * np.pi * t + rng.uniform(0.0, 7.0)))
+    signal = sw.validate_signal(t, envelope * sw.evaluate_shape(coeffs, theta))
+    return signal, sw.exact_phase_from_samples(signal, theta)
+
+
+class TestModelSignal:
+    """Invariants of the fit on generated model records."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(record=model_signal())
+    def test_sign_convention(self, record):
+        # the envelope's mean is nonnegative, whatever the record's sign, and |s| peaks at 1
+        # on the reference grid (measured there by an inverse FFT, here by Horner's rule)
+        result = sw.extract_shape(*record)
+        assert np.mean(result.envelope.values_phase) >= 0.0
+        assert abs(np.max(np.abs(result.shape.sample())) - 1.0) <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(record=model_signal(), periods=st.integers(-100, 100), fraction=st.just(0.0) | st.floats(0.0, 1.0))
+    def test_shape_is_invariant_under_phase_origin_shift(self, record, periods, fraction):
+        # theta + delta gives the shape s(. - delta), up to the peak normalization: a shift by a
+        # fraction of a period moves the reference grid against the shape, and a degree-K
+        # shape's grid peak is within K**2 h**2 / 8 of its true peak (grid step h)
+        signal, phase = record
+        delta = 2.0 * np.pi * (periods + fraction)
+        base = sw.extract_shape(signal, phase)
+        shifted = sw.extract_shape(signal, sw.exact_phase_from_samples(signal, phase.phases + delta))
+        want = base.shape(TAU_GRID)
+        got = sw.evaluate_shape(shifted.shape.coeffs, TAU_GRID + delta)
+        scale = np.dot(got, want) / np.dot(want, want)
+        peak_bound = (shifted.shape.band_limit * (TAU_GRID[1] - TAU_GRID[0])) ** 2 / 8
+        assert abs(scale - 1.0) <= (peak_bound / (1.0 - peak_bound) if fraction else 1e-12)
+        assert np.max(np.abs(got - scale * want)) <= 1e-11
 
 
 class TestShapeDistance:

@@ -102,6 +102,23 @@ class TestEstimatePhase:
         with pytest.raises(sw.DegenerateInput):
             sw.estimate_phase(signal)
 
+    def test_decreasing_smoothed_phase_is_typed_error(self, monkeypatch):
+        # no record tried gives a smoothed phase that decreases, so the spline that takes it
+        # back to a non-uniform record's times, the second one, reverses it here
+        t = np.linspace(0.0, 1.0, 1024)
+        t[1:-1] += 1e-4 * np.cos(np.arange(1, 1023))
+        signal = sw.validate_signal(t, np.cos(40.0 * np.pi * t))
+        real, calls = sw.phase.natural_cubic_spline, []
+
+        def reversed_back(x, y, xq):
+            calls.append(xq)
+            return real(x, y, xq)[:: -1 if len(calls) == 2 else 1]
+
+        monkeypatch.setattr(sw.phase, "natural_cubic_spline", reversed_back)
+        with pytest.raises(sw.NonMonotoneEstimate, match="not strictly increasing after smoothing"):
+            sw.estimate_phase(signal)
+        assert len(calls) == 2
+
     def test_hint_overrides_search(self, example1):
         signal, _, _, _ = example1
         config = sw.PhaseEstimateConfig(fundamental_hint=20)

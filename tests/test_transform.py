@@ -96,7 +96,7 @@ class TestResampleToPhase:
     def test_grid_too_coarse(self):
         signal, phase = make_tone(20)
         with pytest.raises(sw.GridTooCoarse):
-            resample_one(signal, phase, 64)
+            sw.extract_shape(signal, phase, grid_size=64)
 
     def test_conjugate_symmetry_and_parseval(self, example1):
         signal, _, _, phase = example1
@@ -339,8 +339,18 @@ class TestNaturalCubicSpline:
     @pytest.mark.parametrize("x", [[0.0, 0.0], [0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0]],
                              ids=["two-equal", "interior", "end"])
     def test_singular_system_is_typed_error(self, x):
-        with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(sw.DegenerateInput):
+        with pytest.raises(sw.DegenerateInput):
             transform.natural_cubic_spline(x, np.arange(1.0, len(x) + 1), [0.5])
+
+    def test_overflowing_spline_is_typed_error(self):
+        with pytest.raises(sw.NonFiniteValue, match="spline values exceed the float range"):
+            transform.natural_cubic_spline([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0], [0.5])
+
+    def test_singular_lapack_report_is_typed_error(self, monkeypatch):
+        real = transform.dgtsv
+        monkeypatch.setattr(transform, "dgtsv", lambda *args: real(*args)[:-1] + (2,))
+        with pytest.raises(sw.DegenerateInput, match="LAPACK dgtsv info 2"):
+            transform.natural_cubic_spline([0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [0.5])
 
 
 class TestLapackLoader:
@@ -457,7 +467,7 @@ class TestSplineIntervals:
 
         phases = [phase.phases for _, phase in records]
         values = np.concatenate([signal.values for signal, _ in records])
-        x, xq, i = spline_call(lambda: transform._resample_stack(phases, values, 1, n))
+        x, xq, i = spline_call(lambda: transform._resample_stack(phases, values, n))
         grid = np.arange(n) / n
         np.testing.assert_array_equal(xq, np.tile(grid, count))
         expected = [np.searchsorted(x[lo + 1 : lo + size - 1], grid, "right") + lo
@@ -519,7 +529,7 @@ class TestStackedSpline:
     def test_rows_equal_single_record_splines(self, records, log_n, log_n_interp):
         n, n_interp = 1 << log_n, 1 << log_n_interp
         phases = [phase.phases for _, phase in records]
-        stacked = transform._resample_stack(phases, np.concatenate([signal.values for signal, _ in records]), 1, n)
+        stacked = transform._resample_stack(phases, np.concatenate([signal.values for signal, _ in records]), n)
         assert stacked.shape == (len(records), n)
         for row, (signal, phase) in zip(stacked, records):
             assert np.array_equal(row, resample_one(signal, phase, n).values)
